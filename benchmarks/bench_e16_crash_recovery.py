@@ -27,7 +27,6 @@ from repro.bench.tables import render_table
 from repro.core.problem import Element, top_k_of
 from repro.core.theorem2 import ExpectedTopKIndex
 from repro.durability.durable import DurableTopKIndex
-from repro.durability.logstore import LogStructuredStore
 from repro.durability.recovery import recover_index
 from repro.durability.store import DurableStore
 from repro.em.model import EMContext
@@ -70,11 +69,9 @@ def build_fn(elements):
     return ExpectedTopKIndex(elements, DynamicRangeTreap, DynamicRangeTreap, seed=0)
 
 
-#: The sweep rotates over device/layout combinations: the in-place
-#: store on a magnetic disk, the same store on a flash device (the FTL
-#: hides the no-overwrite constraint), and the log-structured store on
-#: flash.  Recovery dispatches on the on-disk layout automatically.
-DEVICES = ("plain", "flash", "flash-log")
+#: The sweep alternates crash points between the store on a magnetic
+#: disk and the same store on a flash device.
+DEVICES = ("plain", "flash")
 
 
 def _victim(device="plain"):
@@ -85,10 +82,7 @@ def _victim(device="plain"):
     else:
         disk = FlashDisk(config=FlashConfig(pages_per_block=8))
         ctx = EMContext(B=16, disk=disk, fault_plan=plan)
-    if device == "flash-log":
-        store = LogStructuredStore(ctx=ctx, B=16)
-    else:
-        store = DurableStore(ctx=ctx, B=16)
+    store = DurableStore(ctx=ctx, B=16)
     inner = ExpectedTopKIndex(
         point_elements(BASE_N), DynamicRangeTreap, DynamicRangeTreap, seed=7
     )
@@ -242,8 +236,8 @@ def bench_e16_crash_recovery(benchmark, results_sink):
             [[swept, len(outcomes["prefixes"]), outcomes["replayed_total"], 0]],
             note=f"machine killed at transfers 1..{outcomes['max_at_io']} of the "
             "insert workload; every recovered index matched the brute-force "
-            "oracle exactly at its committed prefix; crash points rotate "
-            "over device/layouts " + ", ".join(
+            "oracle exactly at its committed prefix; crash points alternate "
+            "over devices " + ", ".join(
                 f"{device}={count}"
                 for device, count in outcomes["devices"].items()
             ),

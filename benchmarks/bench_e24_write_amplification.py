@@ -1,6 +1,6 @@
-"""E24 — Write amplification: the FTL under the log-structured store.
+"""E24 — Write amplification: the FTL under the durable store.
 
-Three claims about ``repro.flash`` + ``LogStructuredStore``:
+Three claims about ``repro.flash`` + ``DurableStore``:
 
 1. **Compaction pays for itself.**  A steady churn workload on a
    fixed-pool flash device accretes manifest/WAL/snapshot garbage; with
@@ -33,8 +33,8 @@ from repro.bench.tables import render_table
 from repro.core.problem import Element, top_k_of
 from repro.core.theorem2 import ExpectedTopKIndex
 from repro.durability.durable import DurableTopKIndex
-from repro.durability.logstore import LogStructuredStore, open_store
 from repro.durability.recovery import recover_index
+from repro.durability.store import DurableStore
 from repro.em.model import Disk, EMContext
 from repro.flash.disk import FlashDisk
 from repro.flash.ftl import FlashConfig
@@ -63,8 +63,8 @@ COMPACT_EVERY = 8
 WORKLOAD_POINTS = 20 if QUICK else 120
 COMPACT_POINTS = 12 if QUICK else 50
 GC_POINTS = 8 if QUICK else 30
-WORKLOAD_STRIDE = 42 if QUICK else 7    # the workload spans ~870 transfers
-COMPACT_STRIDE = 12 if QUICK else 3     # a compaction spans ~170 transfers
+WORKLOAD_STRIDE = 24 if QUICK else 4    # the workload spans ~470 transfers
+COMPACT_STRIDE = 11 if QUICK else 2     # a compaction spans ~130 transfers
 
 CHECK_QUERIES = 8 if QUICK else 15
 
@@ -90,11 +90,11 @@ def build_fn(elements):
 
 
 def _victim(config=None):
-    """A durable Theorem 2 index on a flash-backed log-structured store."""
+    """A durable Theorem 2 index on a flash-backed store."""
     plan = FaultPlan(armed=False)
     disk = FlashDisk(config=config or FlashConfig(pages_per_block=8))
     ctx = EMContext(B=8, disk=disk, fault_plan=plan)
-    store = LogStructuredStore(ctx=ctx, B=8)
+    store = DurableStore(ctx=ctx, B=8)
     inner = ExpectedTopKIndex(
         point_elements(BASE_N), DynamicRangeTreap, DynamicRangeTreap, seed=7
     )
@@ -144,7 +144,7 @@ def _churn_run(compact_every, device="flash"):
             pages_per_block=8, capacity_pages=112, overprovision=0.1,
         ))
     ctx = EMContext(B=8, disk=disk)
-    store = LogStructuredStore(ctx=ctx, B=8)
+    store = DurableStore(ctx=ctx, B=8)
     inner = ExpectedTopKIndex(
         point_elements(BASE_N), DynamicRangeTreap, DynamicRangeTreap, seed=7
     )
@@ -399,7 +399,7 @@ def bench_e24_write_amplification(benchmark, results_sink):
         pass
 
     def run_recovery():
-        store = open_store(durable.store.disk, B=8)
+        store = DurableStore.open(durable.store.disk, B=8)
         recover_index(store, restore_fn, build_fn)
 
     benchmark(run_recovery)

@@ -1,7 +1,7 @@
 """A flash-backed durable top-k service that compacts itself.
 
-A Theorem 2 index persists through the log-structured store onto a
-simulated flash device (``repro.flash``): logical pages live on erase
+A Theorem 2 index persists through the append-only durable store onto
+a simulated flash device (``repro.flash``): logical pages live on erase
 blocks, overwrites go to fresh pages, and a garbage collector relocates
 live data when the free pool runs dry.  The store never overwrites in
 place — commits append manifest blocks, and only compaction folds the
@@ -29,7 +29,7 @@ import random
 from repro.core.problem import Element, top_k_of
 from repro.core.theorem2 import ExpectedTopKIndex
 from repro.durability.durable import DurableTopKIndex
-from repro.durability.logstore import LogStructuredStore
+from repro.durability.store import DurableStore
 from repro.em.model import EMContext
 from repro.flash.disk import FlashDisk
 from repro.flash.ftl import FlashConfig
@@ -62,7 +62,7 @@ def main() -> None:
         pages_per_block=8, capacity_pages=112, overprovision=0.1,
     ))
     ctx = EMContext(B=8, disk=disk)
-    store = LogStructuredStore(ctx=ctx, B=8)
+    store = DurableStore(ctx=ctx, B=8)
     inner = ExpectedTopKIndex(
         catalog, DynamicRangeTreap, DynamicRangeTreap, seed=3
     )

@@ -5,13 +5,12 @@ machine death on the simulated external-memory disk:
 
 * :mod:`~repro.durability.codec` — deterministic encoding of index
   state into primitive disk records;
-* :mod:`~repro.durability.store` — sealed blocks, dual superblocks,
-  forward-chained extents (:class:`DurableStore`);
+* :mod:`~repro.durability.store` — :class:`DurableStore`: sealed
+  blocks, forward-chained extents, and an append-only root (anchors +
+  manifest chain), with block recycling and compaction;
 * :mod:`~repro.durability.snapshot` — verified whole-index snapshots;
 * :mod:`~repro.durability.wal` — the write-ahead log with group
   commit and torn-tail-safe replay;
-* :mod:`~repro.durability.logstore` — :class:`LogStructuredStore`, the
-  flash-aware append-only root (anchors + manifest chain + compaction);
 * :mod:`~repro.durability.recovery` — the recovery driver and the
   post-recovery invariant auditor;
 * :mod:`~repro.durability.durable` — :class:`DurableTopKIndex`, the
@@ -23,11 +22,6 @@ Crash injection itself lives with the rest of the chaos machinery in
 
 from repro.durability.codec import decode, encode, flatten_state, unflatten_state
 from repro.durability.durable import DurableTopKIndex
-from repro.durability.logstore import (
-    LogStructuredStore,
-    is_log_structured,
-    open_store,
-)
 from repro.durability.recovery import (
     AuditCheck,
     AuditReport,
@@ -51,7 +45,6 @@ __all__ = [
     "AuditReport",
     "DurableStore",
     "DurableTopKIndex",
-    "LogStructuredStore",
     "OP_DELETE",
     "OP_INSERT",
     "RecoveryResult",
@@ -63,8 +56,6 @@ __all__ = [
     "decode",
     "encode",
     "flatten_state",
-    "is_log_structured",
-    "open_store",
     "read_committed",
     "read_snapshot",
     "recover_index",

@@ -10,9 +10,9 @@ standard protocol:
   group is committed (sealed blocks + flush).  A crash loses at most
   the current uncommitted group — never a committed one;
 * **checkpoints** snapshot the inner index (``snapshot_state()``),
-  flush, then atomically publish snapshot + truncated WAL via a
-  superblock commit.  The two most recent snapshots are retained, so a
-  crash *during* a checkpoint still recovers from the previous one;
+  flush, then atomically publish snapshot + truncated WAL via a root
+  commit.  The two most recent snapshots are retained, so a crash
+  *during* a checkpoint still recovers from the previous one;
 * **recovery** (:meth:`DurableTopKIndex.recover`) mounts the surviving
   disk with a fresh context, runs the
   :func:`~repro.durability.recovery.recover_index` sequence, and
@@ -32,7 +32,6 @@ from typing import Callable, List, Optional
 
 from repro.core.interfaces import TopKIndex
 from repro.core.problem import Element, Predicate
-from repro.durability.logstore import open_store
 from repro.durability.recovery import RecoveryResult, apply_record, recover_index
 from repro.durability.snapshot import write_snapshot
 from repro.durability.store import DurableStore
@@ -258,10 +257,10 @@ class DurableTopKIndex(TopKIndex):
         """Snapshot the index and atomically make it the recovery root.
 
         Ordering is load-bearing: the snapshot chain is flushed
-        *before* the superblock commit publishes its entry, and the WAL
-        is truncated in the same superblock commit — a crash at any
-        point leaves either the old root (snapshot + old log) or the
-        new root (snapshot + empty log) fully consistent.
+        *before* the root commit publishes its entry, and the WAL is
+        truncated in the same root commit — a crash at any point leaves
+        either the old root (snapshot + old log) or the new root
+        (snapshot + empty log) fully consistent.
         """
         self.commit()
         # A lazily-applying follower must fold every durable record into
@@ -284,20 +283,18 @@ class DurableTopKIndex(TopKIndex):
         self.store.snapshots = retained
         self.wal.truncate()
         self.store.wal_head = self.wal.head
-        self.store.commit_superblock()
+        self.store.commit_root()
         self.checkpoints += 1
 
     def compact_store(self) -> int:
-        """Checkpoint, then fold the store's dead segments (ops lever).
+        """Checkpoint, then compact the store (ops lever).
 
-        On a :class:`~repro.durability.logstore.LogStructuredStore`
-        this rewrites the manifest and TRIMs every dead block — the
-        mitigation for a ``write_amp_spike`` incident.  On a plain
-        store it degrades to a checkpoint and returns 0.
+        Folds the manifest into one record and discards (TRIMs, on
+        flash) every dead block — the mitigation for a
+        ``write_amp_spike`` incident.  Returns the blocks discarded.
         """
         self.checkpoint()
-        compact = getattr(self.store, "compact", None)
-        return compact() if compact is not None else 0
+        return self.store.compact()
 
     # ------------------------------------------------------------------
     # Recovery
@@ -319,8 +316,11 @@ class DurableTopKIndex(TopKIndex):
         immediately so the pre-crash log is retired and the recovered
         state becomes the new durable baseline.
         """
-        store = open_store(disk, B=B, M=M)
+        store = DurableStore.open(disk, B=B, M=M)
         result = recover_index(store, restore_fn, build_fn)
+        # The wrapper logs to a fresh chain; the mounted one is recycled
+        # once the re-checkpoint's root commit stops referencing it.
+        store.retire_chain(store.wal_head)
         return cls(
             result.index,
             store=store,

@@ -2,8 +2,9 @@
 
 The recovery sequence after a crash:
 
-1. **Mount** — :meth:`DurableStore.open` reads the dual superblocks and
-   adopts the newest valid generation (done by the caller).
+1. **Mount** — :meth:`DurableStore.open` reads the anchors and adopts
+   the last valid root record on the manifest chain (a torn newest
+   commit falls back to the root before it; done by the caller).
 2. **Snapshot** — try the manifest's snapshots newest-first; each is
    verified three ways (block seals, record count, stream CRC) by
    :func:`~repro.durability.snapshot.read_snapshot` before being

@@ -5,9 +5,9 @@ A snapshot is the flattened record stream of an index's
 into a fresh forward chain of sealed blocks, plus a
 :class:`~repro.durability.store.SnapshotEntry` carrying the chain head,
 record count, and a CRC over the *whole* stream.  The entry lives in
-the superblock manifest; a snapshot only becomes visible to recovery
-once a superblock commit publishes its entry, so a crash mid-snapshot
-leaves the previous generation in charge.
+the store's root record; a snapshot only becomes visible to recovery
+once a root commit publishes its entry, so a crash mid-snapshot leaves
+the previous generation in charge.
 
 Reading verifies three independent layers — per-block seals, the
 stream length, and the whole-stream CRC — before handing the state
@@ -37,8 +37,8 @@ def write_snapshot(store: DurableStore, state: dict) -> SnapshotEntry:
 
     The chain is buffered in the store's cache — the caller must
     ``store.flush()`` (a write barrier) before publishing the returned
-    entry in a superblock commit, or the superblock could land before
-    the data it points at.
+    entry in a root commit, or the root could land before the data it
+    points at.
     """
     records = flatten_state(state)
     head = store.write_chain(_CHAIN_KIND, records)

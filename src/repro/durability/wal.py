@@ -11,14 +11,14 @@ EM simulator's block granularity:
   blocks and flushes.  Blocks already sealed are never rewritten, so a
   torn write can only damage the group being committed, never one that
   was previously durable;
-* **replay** walks the chain from the head recorded in the superblock,
+* **replay** walks the chain from the head recorded in the root,
   stops cleanly at the first unreadable block (the pre-allocated open
   tail on a clean shutdown; the torn block after a crash), and applies
   only *complete* groups — op records with no following valid COMMIT
   marker are discarded, exactly as an interrupted transaction should
   be;
-* **truncation** (at checkpoint) simply starts a new chain; the old
-  one is unreferenced once the superblock commit lands.
+* **truncation** (at checkpoint) starts a new chain and retires the
+  old one, whose blocks are recycled once the root commit lands.
 
 LSNs are global and never reused, so replay against a snapshot that
 already contains a prefix of the log (``last_lsn`` in the snapshot
@@ -62,7 +62,7 @@ class WriteAheadLog:
 
     def __init__(self, store: DurableStore, next_lsn: int = 1) -> None:
         self.store = store
-        self.head = store.allocate()
+        self.head = store.new_chain()
         self._open = self.head
         self._next_seq = 0
         self.next_lsn = next_lsn
@@ -160,7 +160,7 @@ class WriteAheadLog:
         try:
             while offset < len(records):
                 chunk = records[offset : offset + capacity]
-                next_id = self.store.allocate()
+                next_id = self.store.extend_chain(self.head)
                 self.store.write_sealed(
                     self._open, [(_CHAIN_KIND, self._next_seq, next_id), *chunk]
                 )
@@ -177,20 +177,19 @@ class WriteAheadLog:
     def truncate(self) -> None:
         """Start a new, empty chain (checkpoint step; LSNs keep rising).
 
-        The caller must publish :attr:`head` through a superblock
-        commit; until then recovery still reads the old chain.  A chain
-        nothing was ever committed to is reused as-is.
+        The caller must publish :attr:`head` through a root commit;
+        until then recovery still reads the old chain.  A chain nothing
+        was ever committed to is reused as-is.
         """
         if not self._chain_dirty:
             return
         old_head = self.head
-        self.head = self.store.allocate()
+        self.head = self.store.new_chain()
         self._open = self.head
         self._next_seq = 0
         self._chain_dirty = False
-        # On a log-structured store the old chain's blocks re-enter
-        # service once the superblock commit that stops referencing
-        # them lands; the plain store just abandons them.
+        # The old chain's blocks re-enter service once the root commit
+        # that stops referencing them lands.
         self.store.retire_chain(old_head)
 
 

@@ -62,7 +62,8 @@ identical anomaly stream.  The rule set mirrors the failure modes PRs
     programs per logical host write, over this tick's deltas) crossed
     ``write_amp_max`` with at least ``write_amp_min_writes`` host
     writes behind it — garbage collection is churning relocations
-    because the log-structured store has accumulated dead segments.
+    because the durable store has accumulated dead blocks since its
+    last compaction.
     The remedy is the ``compact_store`` lever.
 ``wear_imbalance``
     The most-erased flash block's wear exceeds

@@ -32,8 +32,8 @@ added around them):
                     partition window (reconnect the topology; loss and
                     reorder rates stay, they are hardware).
 ``compact_store``   :meth:`DurableTopKIndex.compact_store` — checkpoint,
-                    then fold the log-structured store's dead segments
-                    and TRIM them back to the flash device; the
+                    then compact the durable store: fold its manifest
+                    and discard every dead block (a TRIM on flash); the
                     write-amplification / wear lever.
 =================  ====================================================
 

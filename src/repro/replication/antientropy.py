@@ -7,7 +7,7 @@ independent checks, run over every live replica:
 * a **local seal walk** (:meth:`DurableStore.fingerprints`): every
   block the replica's durable root references is read raw off the disk
   and its embedded seal verified.  A failed seal is local, physical
-  damage — bit rot or a torn write the superblock still points at;
+  damage — bit rot or a torn write the durable root still points at;
 * a **cross-replica state digest**: a CRC over the full in-memory
   state (RNG stream included).  Replicas built identically and fed the
   same op sequence are bit-for-bit equal, so after the scrub barrier

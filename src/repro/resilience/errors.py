@@ -127,8 +127,9 @@ class SnapshotIntegrityError(ReproError):
 class RecoveryError(ReproError):
     """Recovery could not produce a usable index.
 
-    No superblock validates, every retained snapshot is damaged, or the
-    restored index failed its audit and no rebuild path was provided.
+    No anchor or root record validates, every retained snapshot is
+    damaged, or the restored index failed its audit and no rebuild path
+    was provided.
     """
 
 

@@ -13,7 +13,6 @@ import pytest
 from toy import RangePredicate, ToyMax, ToyPrioritized, make_toy_elements
 from repro.core.theorem2 import ExpectedTopKIndex
 from repro.durability.durable import DurableTopKIndex
-from repro.durability.logstore import LogStructuredStore
 from repro.durability.recovery import apply_record, audit_index, recover_index
 from repro.durability.store import DurableStore
 from repro.durability.wal import OP_INSERT, WALRecord
@@ -52,16 +51,14 @@ def extra_elements():
     return make_toy_elements(EXTRA_N, seed=2, weight_offset=0.5)
 
 
-DEVICES = ["plain", "flash", "flash-log"]
+DEVICES = ["plain", "flash"]
 
 
 def durable_victim(commit_interval=GROUP, device="plain"):
     """A durable index with a fault plan wired into its store's machine.
 
-    ``device`` picks the platter and layout: ``plain`` is the in-place
-    store on a magnetic ``Disk``; ``flash`` runs the same in-place store
-    on a ``FlashDisk`` (the FTL hides the no-overwrite constraint);
-    ``flash-log`` pairs the flash device with the log-structured store.
+    ``device`` picks the platter: a magnetic ``Disk`` (``plain``) or a
+    ``FlashDisk`` (``flash``).
     """
     plan = FaultPlan(armed=False)
     if device == "plain":
@@ -69,10 +66,7 @@ def durable_victim(commit_interval=GROUP, device="plain"):
     else:
         disk = FlashDisk(config=FlashConfig(pages_per_block=8))
         ctx = EMContext(B=8, disk=disk, fault_plan=plan)
-    if device == "flash-log":
-        store = LogStructuredStore(ctx=ctx, B=8)
-    else:
-        store = DurableStore(ctx=ctx, B=8)
+    store = DurableStore(ctx=ctx, B=8)
     inner = ExpectedTopKIndex(base_elements(), ToyPrioritized, ToyMax, seed=3)
     durable = DurableTopKIndex(inner, store=store, commit_interval=commit_interval)
     return durable, plan
@@ -115,7 +109,7 @@ def assert_matches_committed_prefix(recovered, applied):
 class TestCrashSweep:
     # The insert workload performs exactly 10 durability transfers
     # (one group-commit write-back per 4 inserts); crash at every one,
-    # on every device/layout combination.
+    # on every device.
     @pytest.mark.parametrize("device", DEVICES)
     @pytest.mark.parametrize("at_io", list(range(1, 11)))
     def test_recovery_matches_oracle_at_committed_prefix(self, at_io, device):
@@ -196,6 +190,41 @@ class TestReplayIdempotence:
         fresh = make_toy_elements(1, seed=50, weight_offset=0.25)[0]
         assert apply_record(index, WALRecord(2, OP_INSERT, fresh)) is True
         assert apply_record(index, WALRecord(3, OP_INSERT, fresh)) is False
+
+
+def assert_blocks_accounted(store):
+    """Each allocated block is exactly one of reachable, free, in limbo."""
+    owners = store.reachable_blocks() + store._free + store._limbo
+    assert sorted(owners) == list(range(store.disk.num_blocks))
+
+
+class TestSpaceAccounting:
+    def test_blocks_are_recycled_across_checkpoints_recovery_compaction(self):
+        durable, _ = durable_victim()
+        live = base_elements()
+        fresh = iter(extra_elements())
+        sizes = []
+        for round_no in range(1, 13):
+            for _ in range(3):
+                durable.delete(live.pop(0))
+                element = next(fresh)
+                durable.insert(element)
+                live.append(element)
+            durable.checkpoint()
+            assert_blocks_accounted(durable.store)
+            if round_no % 4 == 0:
+                durable.compact_store()
+                assert_blocks_accounted(durable.store)
+            if round_no % 6 == 0:
+                durable = DurableTopKIndex.recover(
+                    durable.store.disk, restore_fn, build_fn, B=8,
+                    commit_interval=GROUP,
+                )
+                assert_blocks_accounted(durable.store)
+            sizes.append(durable.store.disk.num_blocks)
+        assert set(durable.recovery.elements) == set(live)
+        # Recycling bounds the disk: once warm, no round allocates fresh.
+        assert sizes[-6:] == [sizes[5]] * 6, sizes
 
 
 class TestAuditAndRebuild:

@@ -57,7 +57,7 @@ def through_disk(state):
     entry = write_snapshot(store, state)
     store.flush()
     store.snapshots = [entry]
-    store.commit_superblock()
+    store.commit_root()
     survivor = DurableStore.open(store.disk, B=8)
     assert survivor.snapshots == [entry]
     return read_snapshot(survivor, survivor.snapshots[0])

@@ -1,4 +1,4 @@
-"""DurableStore: seals, dual superblocks, chains, damage detection."""
+"""DurableStore: seals, anchors and the manifest, chains, damage detection."""
 
 import pytest
 
@@ -39,7 +39,7 @@ class TestStoreLifecycle:
         store = DurableStore(B=8)
         store.snapshots = [SnapshotEntry(1, 5, 10, 1234)]
         store.wal_head = 9
-        store.commit_superblock()
+        store.commit_root()
         reopened = DurableStore.open(store.disk, B=8)
         assert reopened.snapshots == [SnapshotEntry(1, 5, 10, 1234)]
         assert reopened.wal_head == 9
@@ -52,39 +52,46 @@ class TestStoreLifecycle:
     def test_unformatted_disk_rejected(self):
         from repro.em.model import Disk
 
-        with pytest.raises(RecoveryError, match="superblock"):
+        with pytest.raises(RecoveryError, match="anchor"):
             DurableStore.open(Disk(), B=8)
 
-    def test_superblock_commit_alternates_blocks(self):
+    def test_compaction_alternates_anchors(self):
         store = DurableStore(B=8)
-        store.commit_superblock()  # epoch 1 -> block 1
-        store.commit_superblock()  # epoch 2 -> block 0
-        epoch_after_two = store.epoch
+        store.commit_root()
+        anchors = [list(store.disk.raw_read(block_id)) for block_id in (0, 1)]
+        assert anchors[0] and not anchors[1]  # commits never touch them
+        store.compact()  # anchor_seq 1 -> block 1
+        assert list(store.disk.raw_read(0)) == anchors[0]
+        store.compact()  # anchor_seq 2 -> block 0
+        assert list(store.disk.raw_read(0)) != anchors[0]
         reopened = DurableStore.open(store.disk, B=8)
-        assert reopened.epoch == epoch_after_two
+        assert reopened.anchor_seq == 2
+        assert reopened.epoch == store.epoch
 
-    def test_torn_superblock_falls_back_to_previous(self):
+    def test_torn_root_falls_back_to_previous(self):
         store = DurableStore(B=8)
-        store.wal_head = 3
-        store.commit_superblock()  # epoch 1, durable
-        # Tear the next superblock commit after the fact: the highest
-        # epoch is damaged, recovery must adopt epoch 1.
-        store.wal_head = 4
-        store.commit_superblock()  # epoch 2
-        newest = store.epoch % 2
-        records = store.disk.raw_read(newest)
-        store.disk.torn_write(newest, list(records), keep=0)
+        store.next_snapshot_id = 7
+        store.commit_root()  # durable
+        store.next_snapshot_id = 8
+        store.commit_root()
+        # Tear the newest root record after the fact: mounting must stop
+        # at the root before it.
+        manifest = store._chain_blocks(store._mani_head)
+        newest = manifest[-2]  # manifest[-1] is the open tail
+        store.disk.torn_write(newest, list(store.disk.raw_read(newest)), keep=1)
         reopened = DurableStore.open(store.disk, B=8)
-        assert reopened.wal_head == 3  # the previous generation
+        assert reopened.next_snapshot_id == 7
+        assert reopened.epoch == store.epoch - 1
 
-    def test_both_superblocks_damaged_is_fatal(self):
+    def test_both_anchors_damaged_is_fatal(self):
         store = DurableStore(B=8)
-        store.commit_superblock()
+        store.commit_root()
+        store.compact()  # both anchors now hold a record
         for block_id in (0, 1):
-            records = store.disk.raw_read(block_id)
-            if records:
-                store.disk.torn_write(block_id, list(records), keep=0)
-        with pytest.raises(RecoveryError, match="no valid superblock"):
+            records = list(store.disk.raw_read(block_id))
+            assert records
+            store.disk.torn_write(block_id, records, keep=0)
+        with pytest.raises(RecoveryError, match="no valid anchor"):
             DurableStore.open(store.disk, B=8)
 
 
@@ -143,7 +150,7 @@ class TestChains:
         head = store.write_chain("SNAP", [("r", i) for i in range(20)])
         store.flush()
         store.snapshots = [SnapshotEntry(1, head, 20, 0)]
-        store.commit_superblock()
+        store.commit_root()
         reachable = store.reachable_blocks()
         assert 0 in reachable and 1 in reachable
         for block_id in store._chain_blocks(head):

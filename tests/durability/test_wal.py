@@ -28,7 +28,7 @@ class TestCommit:
             wal.append(OP_INSERT, element)
         assert wal.commit() == 5
         store.wal_head = wal.head
-        store.commit_superblock()
+        store.commit_root()
         groups, discarded = read_committed(reopened(store), wal.head)
         assert discarded == 0
         assert [r.element for r in groups[0]] == elements(5)
@@ -43,7 +43,7 @@ class TestCommit:
                 wal.append(OP_INSERT, element)
             wal.commit()
         store.wal_head = wal.head
-        store.commit_superblock()
+        store.commit_root()
         groups, _ = read_committed(reopened(store), wal.head)
         assert len(groups) == 3
         assert [r.element for r in groups[2]] == elements(4, offset=20)
@@ -55,7 +55,7 @@ class TestCommit:
             wal.append(OP_INSERT, element)
         wal.commit()
         store.wal_head = wal.head
-        store.commit_superblock()
+        store.commit_root()
         groups, discarded = read_committed(reopened(store), wal.head)
         assert discarded == 0
         assert [r.element for r in groups[0]] == elements(11)
@@ -73,7 +73,7 @@ class TestCommit:
         for element in elements(3):
             wal.append(OP_INSERT, element)
         store.wal_head = wal.head
-        store.commit_superblock()
+        store.commit_root()
         groups, discarded = read_committed(reopened(store), wal.head)
         assert groups == [] and discarded == 0
         assert wal.pending_records == 3
@@ -86,7 +86,7 @@ class TestCommit:
         wal.rollback_last()
         wal.commit()
         store.wal_head = wal.head
-        store.commit_superblock()
+        store.commit_root()
         groups, _ = read_committed(reopened(store), wal.head)
         assert len(groups[0]) == 1 and groups[0][0].op == OP_INSERT
         assert wal.next_lsn == 2  # the rolled-back LSN was reissued
@@ -103,7 +103,7 @@ class TestTornTails:
             wal.append(OP_INSERT, element)
         wal.commit()
         store.wal_head = wal.head
-        store.commit_superblock()
+        store.commit_root()
         # Tear the chain block holding the second group (the first commit
         # filled block 0 of the chain and pre-allocated block 1 for the
         # next one): only group 1 survives.
@@ -120,7 +120,7 @@ class TestTornTails:
             wal.append(OP_INSERT, element)
         wal.commit()
         store.wal_head = wal.head
-        store.commit_superblock()
+        store.commit_root()
         # The chain's final pointer designates a pre-allocated, empty
         # open block; reading must stop there without raising.
         groups, discarded = read_committed(reopened(store), wal.head)
@@ -142,7 +142,7 @@ class TestTruncate:
         wal.truncate()
         assert wal.head != old_head
         store.wal_head = wal.head
-        store.commit_superblock()
+        store.commit_root()
         groups, _ = read_committed(reopened(store), wal.head)
         assert groups == []
 

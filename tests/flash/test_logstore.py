@@ -1,4 +1,5 @@
-"""LogStructuredStore: mount/commit/compact, recycling, crash safety."""
+"""DurableStore's append-only layout on plain and flash disks:
+mount/commit/compact, recycling, audit reads, crash safety."""
 
 import random
 
@@ -7,11 +8,6 @@ import pytest
 from toy import RangePredicate, ToyMax, ToyPrioritized, make_toy_elements
 from repro.core.theorem2 import ExpectedTopKIndex
 from repro.durability.durable import DurableTopKIndex
-from repro.durability.logstore import (
-    LogStructuredStore,
-    is_log_structured,
-    open_store,
-)
 from repro.durability.store import DurableStore
 from repro.em.model import Disk, EMContext
 from repro.flash.disk import FlashDisk
@@ -43,7 +39,7 @@ def log_victim(device="flash", config=None, commit_interval=4):
     else:
         disk = Disk()
     ctx = EMContext(B=8, disk=disk, fault_plan=plan)
-    store = LogStructuredStore(ctx=ctx, B=8)
+    store = DurableStore(ctx=ctx, B=8)
     inner = ExpectedTopKIndex(
         make_toy_elements(30, seed=1), ToyPrioritized, ToyMax, seed=3
     )
@@ -62,23 +58,6 @@ def assert_matches_oracle(recovered, oracle_elements):
         )
 
 
-class TestLayoutDetection:
-    @pytest.mark.parametrize("device", ["plain", "flash"])
-    def test_log_formatted_disks_are_detected(self, device):
-        durable, _ = log_victim(device=device)
-        assert is_log_structured(durable.store.disk)
-        mounted = open_store(durable.store.disk, B=8)
-        assert isinstance(mounted, LogStructuredStore)
-
-    def test_plain_formatted_disks_mount_as_plain(self):
-        store = DurableStore(ctx=EMContext(B=8), B=8)
-        store.commit_superblock()
-        assert not is_log_structured(store.disk)
-        mounted = open_store(store.disk, B=8)
-        assert isinstance(mounted, DurableStore)
-        assert not isinstance(mounted, LogStructuredStore)
-
-
 class TestRootPublication:
     @pytest.mark.parametrize("device", ["plain", "flash"])
     def test_checkpointed_state_survives_a_remount(self, device):
@@ -90,7 +69,6 @@ class TestRootPublication:
         recovered = DurableTopKIndex.recover(
             durable.store.disk, restore_fn, build_fn, B=8
         )
-        assert isinstance(recovered.store, LogStructuredStore)
         assert_matches_oracle(
             recovered, make_toy_elements(30, seed=1) + extras
         )
@@ -133,7 +111,7 @@ class TestRootPublication:
         durable.checkpoint()
         assert store.free_blocks > 0
         block_id = store._free[0]
-        store.allocate()
+        store.new_chain()
         # Wipe-on-reuse: the stale sealed chain contents are gone before
         # the id re-enters service — recovery can never splice the
         # retired chain into a live one.
@@ -147,6 +125,39 @@ class TestRootPublication:
         prints = durable.store.fingerprints()
         assert prints, "no blocks fingerprinted"
         assert all(seal_ok for _, seal_ok in prints.values())
+
+    def test_fingerprints_read_each_block_once(self):
+        durable, _ = log_victim(device="plain")
+        extras = make_toy_elements(12, seed=2, weight_offset=0.5)
+        for element in extras[:6]:
+            durable.insert(element)
+        durable.checkpoint()
+        for element in extras[6:]:
+            durable.insert(element)  # committed WAL groups past the root
+        store = durable.store
+        examined = store.reachable_blocks()
+        reads = store.ctx.stats.reads
+        prints = store.fingerprints()
+        assert store.ctx.stats.reads - reads == len(examined)
+        assert set(prints) <= set(examined)
+
+    def test_retiring_chains_charges_no_reads(self):
+        durable, _ = log_victim()
+        store = durable.store
+        extras = make_toy_elements(12, seed=2, weight_offset=0.5)
+        for element in extras[:6]:
+            durable.insert(element)
+        durable.checkpoint()
+        for element in extras[6:]:
+            durable.insert(element)
+        retired = set(store._chains[store.snapshots[-1].head_block])
+        retired |= set(store._chains[durable.wal.head])
+        reads = store.ctx.stats.reads
+        # Retires the oldest snapshot and the WAL chain, then commits.
+        durable.checkpoint()
+        assert store.ctx.stats.reads == reads
+        assert store.limbo_blocks == 0
+        assert retired <= set(store._free) | set(store.reachable_blocks())
 
 
 class TestCompaction:

@@ -3,7 +3,7 @@
 from toy import RangePredicate, ToyMax, ToyPrioritized, make_toy_elements
 from repro.core.theorem2 import ExpectedTopKIndex
 from repro.durability.durable import DurableTopKIndex
-from repro.durability.logstore import LogStructuredStore
+from repro.durability.store import DurableStore
 from repro.em.model import EMContext
 from repro.flash.disk import FlashDisk
 from repro.flash.ftl import FlashConfig
@@ -103,7 +103,7 @@ def flash_stack():
         pages_per_block=8, capacity_pages=112, overprovision=0.1,
     ))
     ctx = EMContext(B=8, disk=disk)
-    store = LogStructuredStore(ctx=ctx, B=8)
+    store = DurableStore(ctx=ctx, B=8)
     elements = make_toy_elements(24, seed=1)
     inner = ExpectedTopKIndex(elements, ToyPrioritized, ToyMax, seed=3)
     durable = DurableTopKIndex(inner, store=store, commit_interval=4)

@@ -6,7 +6,7 @@ import threading
 from toy import RangePredicate, ToyMax, ToyPrioritized, make_toy_elements
 from repro.core.theorem2 import ExpectedTopKIndex
 from repro.durability.durable import DurableTopKIndex
-from repro.durability.logstore import LogStructuredStore
+from repro.durability.store import DurableStore
 from repro.em.model import EMContext, IOStats
 from repro.flash.disk import FlashDisk
 from repro.flash.ftl import FlashConfig
@@ -16,7 +16,7 @@ from repro.resilience.guard import HealthReport, HealthSummary, ResilientTopKInd
 def flash_guard():
     disk = FlashDisk(config=FlashConfig(pages_per_block=8))
     ctx = EMContext(B=8, disk=disk)
-    store = LogStructuredStore(ctx=ctx, B=8)
+    store = DurableStore(ctx=ctx, B=8)
     inner = ExpectedTopKIndex(
         make_toy_elements(30, seed=1), ToyPrioritized, ToyMax, seed=3
     )
