@@ -4,9 +4,9 @@ Two throughput claims about :class:`repro.serving.engine.ServingEngine`
 over a 3-replica :class:`~repro.replication.cluster.ReplicaSet`, both
 measured against the serial baseline (one ``cluster.query`` per
 request, primary reads — the PR-3 serving story).  The serial baseline
-is pinned to the legacy Element path (``columnar_disabled``) so it
-stays comparable across releases; the columnar-vs-legacy delta on an
-otherwise identical stack is E23's job
+is built with ``columnar=False`` (the paper's structure-only path) so
+it stays comparable across releases; the columnar-vs-structure delta
+on an otherwise identical stack is E23's job
 (``benchmarks/bench_e23_columnar_hotpath.py``):
 
 1. **Skewed traffic with a warm cache is >= 3x faster.**  A Zipf
@@ -36,9 +36,9 @@ import time
 from pathlib import Path
 
 from repro.bench.tables import render_table
-from repro.core.columnar import columnar_disabled
 from repro.core.problem import Element, top_k_of
-from repro.replication import replicated_index
+from repro.core.theorem2 import ExpectedTopKIndex
+from repro.replication import ReplicaSet, replicated_index
 from repro.serving import ServingEngine
 from repro.structures.range1d import RangePredicate1D
 from repro.structures.range1d_dynamic import DynamicRangeTreap
@@ -66,6 +66,21 @@ def make_cluster(elements):
         elements, DynamicRangeTreap, DynamicRangeTreap,
         num_replicas=3, seed=5, B=16,
     )
+
+
+def make_structure_only_cluster(elements):
+    """``make_cluster`` with every replica built ``columnar=False``."""
+
+    def build_fn(elems):
+        return ExpectedTopKIndex(
+            elems, DynamicRangeTreap, DynamicRangeTreap, B=16, seed=5,
+            columnar=False,
+        )
+
+    def restore_fn(state):  # unused: the bench crashes no replica
+        return ExpectedTopKIndex.restore(state, DynamicRangeTreap, DynamicRangeTreap)
+
+    return ReplicaSet(elements, build_fn, restore_fn, num_replicas=3, B=16)
 
 
 def predicate_pool(count, seed):
@@ -116,12 +131,11 @@ def _measure(workload_name, requests, elements, cache_capacity, floor):
     cluster.align()
     oracle = [top_k_of(elements, p, k) for p, k in requests]
 
-    # The serial baseline is a legacy-path cluster (columnar disabled at
-    # build, so its reductions run Element-at-a-time rounds): a fixed
-    # reference across releases.  E23 measures columnar vs legacy.
-    with columnar_disabled():
-        legacy = make_cluster(elements)
-        legacy.align()
+    # The serial baseline is a structure-only cluster (its reductions
+    # run the paper's ladder rounds): a fixed reference across
+    # releases.  E23 measures columnar vs structure-only.
+    legacy = make_structure_only_cluster(elements)
+    legacy.align()
     serial_seconds, serial = _best_time(
         lambda: _serial_answers(legacy, requests)
     )

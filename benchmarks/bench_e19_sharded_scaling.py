@@ -7,8 +7,9 @@ Sweeps the shard count S over {1, 2, 4, 8, 16} for three layouts:
 * ``zipf/range``    — Zipf-skewed weights, weight-aware range bands.
 
 and reports, per (layout, S): query throughput, per-shard probes per
-query, and the mean fraction of mapped shards a query contacted (the
-max-probe threshold pruning at work).  Two structural claims:
+query (one top-k probe per contacted shard, asserted), and the mean
+fraction of mapped shards a query contacted (the max-probe threshold
+pruning at work).  Two structural claims:
 
 1. **Exactness is free of S**: every answer of every sweep point is
    compared to the brute-force oracle — 100% exact, always.
@@ -113,6 +114,9 @@ def _sweep_point(name, elements, workload, oracle, num_shards, strategy):
         f"{name} S={num_shards}: scatter-gather diverged from the oracle"
     )
     stats = idx.stats
+    assert stats.shard_probes == stats.shards_contacted, (
+        f"{name} S={num_shards}: a contacted shard was probed more than once"
+    )
     return {
         "shards": num_shards,
         "strategy": strategy,
@@ -122,7 +126,6 @@ def _sweep_point(name, elements, workload, oracle, num_shards, strategy):
         "probes_per_query": round(stats.probes_per_query, 2),
         "contact_ratio": round(stats.contact_ratio, 3),
         "shards_pruned": stats.shards_pruned,
-        "escalations": stats.escalations,
         "exact_fraction": 1.0,
     }
 

@@ -18,10 +18,12 @@ Examples
     python -m repro.bench.profile --compare columnar,legacy --json
 
 ``--compare columnar,legacy`` times the same workload once per mode
-(columnar fast paths on / pinned off) instead of profiling — the
-one-command answer to "how much does the columnar core buy here?".
-``--json`` switches either output to a machine-readable document
-(consumed by the E23 bench and the ``columnar-speed`` CI job).
+instead of profiling: the reduction built as usual, and built with
+``columnar=False`` (the paper's structure-only path).  It is the
+one-command answer to "how much does the columnar core buy here?", so
+it takes ``--index theorem1`` or ``theorem2`` — the indexes with a
+columnar switch.  ``--json`` switches either output to a
+machine-readable document.
 """
 
 from __future__ import annotations
@@ -35,14 +37,16 @@ import time
 from typing import Callable, List
 
 from repro.bench.workloads import PROBLEMS, make_problem
-from repro.core.columnar import columnar_disabled
 
 INDEXES = ("theorem1", "theorem2", "baseline", "serving")
 COMPARE_MODES = ("columnar", "legacy")
 
 
-def _build_runner(args) -> Callable[[], None]:
-    """The profiled body: build the index, answer every query."""
+def _build_runner(args, columnar: bool = True) -> Callable[[], None]:
+    """The profiled body: build the index, answer every query.
+
+    ``columnar`` reaches the two reductions only (``--compare legacy``).
+    """
     problem = make_problem(args.problem, args.n, seed=args.seed)
     predicates = problem.predicates(args.queries, seed=args.seed + 1)
 
@@ -51,7 +55,8 @@ def _build_runner(args) -> Callable[[], None]:
 
         def run() -> None:
             index = WorstCaseTopKIndex(
-                problem.elements, problem.prioritized_factory, seed=args.seed
+                problem.elements, problem.prioritized_factory, seed=args.seed,
+                columnar=columnar,
             )
             for predicate in predicates:
                 index.query(predicate, args.k)
@@ -65,6 +70,7 @@ def _build_runner(args) -> Callable[[], None]:
                 problem.prioritized_factory,
                 problem.max_factory,
                 seed=args.seed,
+                columnar=columnar,
             )
             for predicate in predicates:
                 index.query(predicate, args.k)
@@ -148,6 +154,8 @@ def main(argv: List[str] = None) -> int:
             parser.error(
                 f"--compare takes modes from {set(COMPARE_MODES)}, got {args.compare!r}"
             )
+        if args.index not in ("theorem1", "theorem2"):
+            parser.error("--compare needs --index theorem1 or theorem2")
         return _run_compare(args, modes, config)
 
     run = _build_runner(args)
@@ -189,16 +197,10 @@ def _run_compare(args, modes: List[str], config: dict) -> int:
     """Time the workload once per mode; no profiler in the timed region."""
     timings = {}
     for mode in modes:
-        run = _build_runner(args)
-        if mode == "legacy":
-            with columnar_disabled():
-                began = time.perf_counter()
-                run()
-                timings[mode] = time.perf_counter() - began
-        else:
-            began = time.perf_counter()
-            run()
-            timings[mode] = time.perf_counter() - began
+        run = _build_runner(args, columnar=mode == "columnar")
+        began = time.perf_counter()
+        run()
+        timings[mode] = time.perf_counter() - began
 
     doc = {**config, "modes": {
         mode: {"wall_seconds": round(seconds, 6)}

@@ -14,14 +14,12 @@ hot path:
   the array is ascending and ``bisect`` works directly), an aligned list
   of raw ``obj`` values for predicate tests, and the aligned
   :class:`Element` list materialized only at the answer boundary.
-  Rank-vs-weight conversions (``count_at_least``) are a single bisect.
 * :class:`MatchScan` — an incremental scan of one predicate over one
   :class:`ColumnSet`.  It remembers its frontier and every match found
-  so far, so a monitored probe, a thresholded fetch, and a larger-``k``
-  retry over the same predicate all *resume* one traversal instead of
-  repeating it — this is the array-backed representation behind
-  ``batched()`` memo windows (a scan is a ``(ColumnSet ref, prefix)``
-  pair, not a copied element list).
+  so far, so a larger-``k`` repeat over the same predicate *resumes*
+  one traversal instead of repeating it.
+* :class:`ScanCache` — the per-index table of live scans, dropped on
+  every update.
 * a **compiled-predicate cache** — per ``predicate_key``, a closure
   specialized to the concrete predicate shape (fields hoisted into
   locals) replaces virtual ``matches()`` dispatch inside scan chunks.
@@ -29,26 +27,31 @@ hot path:
   :func:`register_predicate_compiler`; unregistered predicates fall
   back to the bound ``matches`` method, so the fast path never changes
   *which* elements match, only how fast the test runs.
+* :func:`columnar_top_k` — the one place an unbudgeted query decides
+  between the columns and the ground structure.  Scanning first means a
+  dense predicate never pays for a truncated probe; capping that first
+  scan and then running Theorem 2's step 1 (the monitored probe) means
+  a sparse one never pays for a long scan.
 
-Answers are identical to the Element paths by construction: weights are
-distinct (the repo's standing precondition), so the first ``k`` matches
-of a weight-descending scan *are* the unique top-k answer, and a
-truncated probe truncates under exactly the legacy condition (strictly
-more than ``limit`` matches exist).
+Answers are identical to the structure paths by construction: weights
+are distinct (the repo's standing precondition), so the first ``k``
+matches of a weight-descending scan *are* the unique top-k answer, and
+an untruncated monitored probe holds every match.
 
-Columnar execution engages automatically only for RAM-resident ground
-structures: external-memory structures carry an
-:class:`~repro.em.model.EMContext` in their ``ctx`` attribute, and
-bypassing them would silently zero the I/O accounting that the EM
-benches and fault-injection sweeps measure (see :func:`auto_columnar`).
+Only RAM-resident ground structures get columns (:func:`ground_columns`):
+external-memory structures carry an :class:`~repro.em.model.EMContext`
+in their ``ctx`` attribute, and bypassing them would silently zero the
+I/O accounting that the EM benches and fault-injection sweeps measure.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import math
 from array import array
-from bisect import bisect_left, bisect_right
-from contextlib import contextmanager
+from bisect import bisect_left
+from operator import attrgetter
 from typing import (
     Any,
     Callable,
@@ -61,7 +64,7 @@ from typing import (
     Type,
 )
 
-from repro.core.interfaces import PrioritizedResult
+from repro.core.interfaces import PrioritizedIndex
 from repro.core.problem import Element, Predicate
 
 #: Elements per scan chunk: one listcomp frame amortized over this many
@@ -80,46 +83,6 @@ _structure_ids = itertools.count(1)
 def next_structure_id() -> int:
     """A process-unique monotonic id for memo-window keying."""
     return next(_structure_ids)
-
-
-# ----------------------------------------------------------------------
-# Global enable switch (tests and --compare runs flip it)
-# ----------------------------------------------------------------------
-_ENABLED = True
-
-
-def columnar_enabled() -> bool:
-    """Whether columnar fast paths may engage at all."""
-    return _ENABLED
-
-
-def set_columnar_enabled(on: bool) -> bool:
-    """Flip the global switch; returns the previous value."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(on)
-    return previous
-
-
-@contextmanager
-def columnar_disabled():
-    """Force the legacy Element paths within the block (tests, --compare)."""
-    previous = set_columnar_enabled(False)
-    try:
-        yield
-    finally:
-        set_columnar_enabled(previous)
-
-
-def auto_columnar(ground: object) -> bool:
-    """Whether a reduction over ``ground`` should run columnar.
-
-    RAM-model structures qualify; EM-backed structures (anything
-    carrying an ``EMContext`` as ``.ctx``) do not — their I/O charging
-    and fault injection live in the block-transfer layer a flat-array
-    bypass would skip.
-    """
-    return _ENABLED and getattr(ground, "ctx", None) is None
 
 
 # ----------------------------------------------------------------------
@@ -228,10 +191,6 @@ class ColumnSet:
     def __iter__(self) -> Iterator[Element]:
         return iter(self.elements)
 
-    def count_at_least(self, tau: float) -> int:
-        """How many elements have weight ``>= tau`` — one bisect."""
-        return bisect_right(self.neg_weights, -tau)
-
     def position_of(self, element: Element) -> int:
         """Rank (0-based) of ``element``; the stable index map.
 
@@ -276,13 +235,10 @@ class MatchScan:
 
     The scan advances a frontier ``upto`` through the weight-descending
     columns and records the *positions* of matches (ascending position
-    == descending weight).  Every query primitive the reductions need —
-    monitored probe, thresholded fetch, direct top-k — is a resumption
-    of the same traversal, so repeats over one predicate (different
-    ``k`` values in a batch, a probe followed by its thresholded fetch,
-    a guard retry) never rescan a prefix.  Holding ``(columns, upto,
-    positions)`` instead of copied element lists is what makes
-    ``batched()`` memo windows array-backed.
+    == descending weight).  A repeat over the same predicate (another
+    ``k`` in a batch, a guard retry) resumes the traversal instead of
+    rescanning the prefix; holding ``(columns, upto, positions)``
+    instead of copied element lists keeps a live scan cheap to cache.
     """
 
     __slots__ = (
@@ -353,11 +309,11 @@ class MatchScan:
         """Record externally computed knowledge of a prefix.
 
         ``elements`` must be *exactly* the matches among the first
-        ``upto`` positions (any order) — e.g. a non-truncated legacy
-        probe (``upto = len(columns)``) or a non-truncated thresholded
-        fetch (``upto = count_at_least(tau)``).  Sublinear structures
-        compute these in ``O(log + t)``; seeding hands the scan that
-        knowledge so repeats materialize instead of re-traversing.
+        ``upto`` positions (any order) — e.g. an untruncated monitored
+        probe on the ground structure (``upto = len(columns)``), which a
+        sublinear structure computes in ``O(log + t)``.  Seeding hands
+        the scan that knowledge so repeats materialize instead of
+        re-traversing.
 
         Recording is O(1): the positions are resolved lazily, only if
         the scan is consulted again — one-shot predicates (the common
@@ -383,11 +339,6 @@ class MatchScan:
             self.upto = upto
 
     # ------------------------------------------------------------------
-    def _materialize(self, m: int) -> DescendingElements:
-        """The first ``m`` known matches as Elements, heaviest first."""
-        elements = self.columns.elements
-        return DescendingElements([elements[p] for p in self.positions[:m]])
-
     def first(self, k: int) -> DescendingElements:
         """The top-``k`` matches — the direct columnar top-k answer.
 
@@ -398,45 +349,10 @@ class MatchScan:
         if k <= 0:
             return DescendingElements()
         found = self.ensure_matches(k)
-        return self._materialize(min(k, found))
-
-    def probe(self, limit: int) -> PrioritizedResult:
-        """The monitored probe: everything, or truncation past ``limit``.
-
-        Identical to ``index.query(predicate, -inf, limit=limit)`` on a
-        legacy prioritized structure: ``truncated`` iff strictly more
-        than ``limit`` elements match, and a non-truncated result holds
-        every match.
-        """
-        self.ensure_matches(limit + 1)
-        found = len(self.positions)
-        return PrioritizedResult(self._materialize(found), truncated=found > limit)
-
-    def fetch(self, tau: float, limit: Optional[int] = None) -> PrioritizedResult:
-        """The thresholded fetch: matches with weight ``>= tau``.
-
-        The weight threshold becomes a *positional* bound by one bisect
-        on the weight column, so the scan never leaves the qualifying
-        prefix.  With ``limit``, truncates under the legacy condition
-        (strictly more than ``limit`` qualifying matches).
-        """
-        self._apply_pending()
-        stop = self.columns.count_at_least(tau)
-        positions = self.positions
-        if limit is None:
-            self.ensure_prefix(stop)
-            m = bisect_left(positions, stop)
-            return PrioritizedResult(self._materialize(m), truncated=False)
-        while self.upto < stop and bisect_left(positions, stop) <= limit:
-            self._advance_to(min(self.upto + _CHUNK, stop))
-        m = bisect_left(positions, stop)
-        return PrioritizedResult(self._materialize(m), truncated=m > limit)
-
-    def all_matches(self) -> DescendingElements:
-        """Every match, heaviest first (the exact-fallback scan)."""
-        n = len(self.columns)
-        self.ensure_prefix(n)
-        return self._materialize(len(self.positions))
+        elements = self.columns.elements
+        return DescendingElements(
+            [elements[p] for p in self.positions[:min(k, found)]]
+        )
 
 
 # ----------------------------------------------------------------------
@@ -449,32 +365,13 @@ class ScanCache:
     (a scan must never survive a state change) and whenever it grows
     past ``max_entries`` — scans are pure accelerations, so dropping
     them is always safe.
-
-    Two acquisition modes:
-
-    * :meth:`get` — always returns a scan, creating one if needed.  For
-      sites where flat scanning is the right plan regardless (direct
-      top-k answers, exact fallbacks that traverse everything anyway).
-    * :meth:`visit` — returns a scan only from the *second* visit for a
-      predicate.  A sublinear ground structure beats a cold flat scan
-      on selective predicates, so first visits stay on the structure;
-      the visit is recorded in O(1), and any complete legacy result the
-      caller reports via :meth:`record_seed` is carried into the scan
-      at promotion — repeats then answer from the columns (dense
-      predicates prove truncation by early exit; sparse ones
-      materialize their seeded match set).
     """
 
-    __slots__ = ("max_entries", "_scans", "_pending", "_last")
+    __slots__ = ("max_entries", "_scans")
 
     def __init__(self, max_entries: int = 1024) -> None:
         self.max_entries = max_entries
         self._scans: Dict[Hashable, MatchScan] = {}
-        #: First-visit records: key -> [columns, version, seed-or-None].
-        self._pending: Dict[Hashable, list] = {}
-        #: The record touched by the most recent first-visit, so
-        #: :meth:`record_seed` needs no second key computation.
-        self._last: Optional[list] = None
 
     def __len__(self) -> int:
         return len(self._scans)
@@ -485,57 +382,10 @@ class ScanCache:
         scan = self._scans.get(key)
         if scan is None or scan.columns is not columns or not scan.fresh():
             scan = MatchScan(columns, predicate)
-            self._pending.pop(key, None)
             if len(self._scans) >= self.max_entries:
                 self._scans.clear()
             self._scans[key] = scan
         return scan
-
-    def visit(self, columns: ColumnSet, predicate: Predicate) -> Optional[MatchScan]:
-        """A scan on repeat visits; ``None`` (recorded) on the first."""
-        key = predicate_key(predicate)
-        scan = self._scans.get(key)
-        if scan is not None and scan.columns is columns and scan.fresh():
-            self._last = None
-            return scan
-        record = self._pending.get(key)
-        if (
-            record is None
-            or record[0] is not columns
-            or record[1] != columns.version
-        ):
-            if len(self._pending) >= self.max_entries:
-                self._pending.clear()
-            self._last = self._pending[key] = [columns, columns.version, None]
-            return None
-        # Second visit: promote to a live scan, carrying any seed.
-        self._last = None
-        scan = MatchScan(columns, predicate)
-        if record[2] is not None:
-            scan.seed_prefix(*record[2])
-        del self._pending[key]
-        if len(self._scans) >= self.max_entries:
-            self._scans.clear()
-        self._scans[key] = scan
-        return scan
-
-    def record_seed(self, elements: Sequence[Element], upto: int) -> None:
-        """Attach a complete-prefix result to the last first-visit record.
-
-        Applies to the record created (or kept) by the most recent
-        :meth:`visit` on this cache that returned ``None`` — callers
-        report a legacy result right after the visit that routed them
-        to the legacy path.  ``elements`` must be exactly the matches
-        among the first ``upto`` positions (the
-        :meth:`MatchScan.seed_prefix` contract); only a reference is
-        stored, resolved at promotion.
-        """
-        record = self._last
-        if record is None:
-            return
-        seed = record[2]
-        if seed is None or upto > seed[1]:
-            record[2] = (elements, upto)
 
     def peek(self, predicate: Predicate) -> Optional[MatchScan]:
         """The cached scan if present and fresh, else ``None``."""
@@ -546,21 +396,92 @@ class ScanCache:
 
     def clear(self) -> None:
         self._scans.clear()
-        self._pending.clear()
-        self._last = None
+
+
+# ----------------------------------------------------------------------
+# The one columns-vs-structure decision
+# ----------------------------------------------------------------------
+def ground_columns(ground: object, elements: Sequence[Element]) -> Optional[ColumnSet]:
+    """Weight-descending columns of ``elements``, or ``None`` for EM grounds.
+
+    RAM-model structures qualify; EM-backed structures (anything
+    carrying an ``EMContext`` as ``.ctx``) do not — their I/O charging
+    and fault injection live in the block-transfer layer a flat-array
+    bypass would skip, so they keep the structure-only path.
+    """
+    if getattr(ground, "ctx", None) is not None:
+        return None
+    return ColumnSet(elements)
+
+
+#: Positions a predicate's first scan may cover before the structure
+#: probe takes over.  Swept cold on E23's range1d data (a 2-vCPU host,
+#: widths log-uniform per bucket, k <= 20): at n = 50,000, probing
+#: first (0 positions) cost 2-3x more than 256 on 2-20%-wide ranges,
+#: and 64 positions still 1.7-2.5x more; at n = 12,500, 512 positions
+#: cost 0.1-0.5%-wide ranges 30-40% more than 256.  128-256 balanced
+#: the two; 256 was best on the dense ranges.
+FIRST_SCAN = 256
+
+_weight = attrgetter("weight")
+
+
+def columnar_top_k(
+    columns: ColumnSet,
+    scans: ScanCache,
+    ground: PrioritizedIndex,
+    stats: Any,
+    predicate: Predicate,
+    k: int,
+    cap: Optional[int],
+) -> List[Element]:
+    """Answer one unbudgeted top-``k`` query of an index with columns.
+
+    ``cap`` is the call site's monitored-probe cap (``None`` beyond the
+    ladder, where the answer is a full scan anyway):
+
+    1. a live scan for the predicate answers ``first(k)`` — a memo hit;
+    2. otherwise a fresh scan covers the first :data:`FIRST_SCAN`
+       positions, and answers if that finds ``k`` matches or ends the
+       columns;
+    3. otherwise the monitored probe runs on ``ground``.  Untruncated,
+       it holds every match: the scan is seeded with it and the answer
+       k-selected.  Truncated, more than ``cap`` elements match, so the
+       scan finds ``k`` of them within about ``k * n / cap`` positions.
+
+    ``stats`` keeps the structure path's meanings: every call inside
+    the ladder counts one ``monitored_probes``, every call beyond it
+    one ``full_scans``.
+    """
+    if cap is None:
+        stats.full_scans += 1
+    else:
+        stats.monitored_probes += 1
+    scan = scans.peek(predicate)
+    if scan is not None:
+        stats.memo_hits += 1
+        return list(scan.first(k))
+    scan = scans.get(columns, predicate)
+    if cap is not None:
+        scan.ensure_prefix(FIRST_SCAN)
+        if scan.matches_found() < k and not scan.exhausted:
+            probe = ground.query(predicate, -math.inf, limit=cap)
+            if not probe.truncated:
+                scan.seed_prefix(probe.elements, len(columns))
+                return heapq.nlargest(k, probe.elements, key=_weight)
+    return list(scan.first(k))
 
 
 __all__ = [
     "ColumnSet",
     "DescendingElements",
+    "FIRST_SCAN",
     "MatchScan",
     "ScanCache",
-    "auto_columnar",
-    "columnar_disabled",
-    "columnar_enabled",
+    "columnar_top_k",
     "compiled_matcher",
+    "ground_columns",
     "next_structure_id",
     "predicate_key",
     "register_predicate_compiler",
-    "set_columnar_enabled",
 ]

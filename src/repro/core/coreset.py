@@ -72,32 +72,11 @@ class CoresetHierarchy:
     levels: List[List[Element]]
     K: float
     stats: CoresetStats
-    #: Lazy columnar mirrors of the levels (built on first probe; a
-    #: hierarchy is static, so a mirror can never go stale).
-    _columns: Optional[List[Optional["ColumnSet"]]] = field(
-        default=None, repr=False, compare=False
-    )
 
     @property
     def depth(self) -> int:
         """Number of levels including ``R_0 = D``."""
         return len(self.levels)
-
-    def column(self, j: int) -> "ColumnSet":
-        """Level ``j`` as a weight-descending :class:`ColumnSet` (cached).
-
-        The columnar query paths probe levels by rank/offset arithmetic;
-        mirroring lazily means legacy-mode hierarchies never pay the
-        sort, and each level pays it at most once.
-        """
-        from repro.core.columnar import ColumnSet
-
-        if self._columns is None:
-            self._columns = [None] * len(self.levels)
-        columns = self._columns[j]
-        if columns is None:
-            columns = self._columns[j] = ColumnSet(self.levels[j])
-        return columns
 
 
 def build_hierarchy(

@@ -34,15 +34,13 @@ from __future__ import annotations
 import math
 import random
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import List, Optional, Sequence
 
 from repro.core.columnar import (
-    ColumnSet,
-    MatchScan,
     ScanCache,
-    auto_columnar,
-    columnar_enabled,
+    columnar_top_k,
+    ground_columns,
     next_structure_id,
     predicate_key,
 )
@@ -100,8 +98,6 @@ class _TopFStructure:
         stats: ReductionStats,
         ground_index: Optional[PrioritizedIndex] = None,
         hierarchy: Optional[CoresetHierarchy] = None,
-        columnar: Optional[bool] = None,
-        ground_columns: Optional[ColumnSet] = None,
     ) -> None:
         self.f = f
         self.params = params
@@ -127,48 +123,6 @@ class _TopFStructure:
                 self.indexes.append(ground_index)
             else:
                 self.indexes.append(factory(level))
-        # Columnar fast path: RAM-resident levels are mirrored (lazily)
-        # into weight-descending ColumnSets, and probes/fetches become
-        # resumable MatchScans.  EM-backed structures stay on the black
-        # box — bypassing them would skip the I/O accounting.
-        if columnar is None:
-            probe = next((ix for ix in self.indexes if ix is not None), None)
-            self._columnar = columnar_enabled() and (
-                probe is None or auto_columnar(probe)
-            )
-        else:
-            self._columnar = bool(columnar)
-        self._ground_columns = ground_columns
-        self._scan_caches: List[Optional[ScanCache]] = [None] * len(self.levels)
-        if self._columnar:
-            # Materialize the level mirrors now: the first query touches
-            # them all anyway, and build time is the honest place for a
-            # columnar index to pay its layout cost.
-            for j in range(len(self.levels)):
-                self._level_columns(j)
-
-    def _level_columns(self, j: int) -> ColumnSet:
-        """Level ``j``'s flat columns (level 0 may share the ground's)."""
-        if j == 0 and self._ground_columns is not None:
-            return self._ground_columns
-        return self.hierarchy.column(j)
-
-    def _level_cache(self, j: int) -> ScanCache:
-        cache = self._scan_caches[j]
-        if cache is None:
-            cache = self._scan_caches[j] = ScanCache()
-        return cache
-
-    def _level_scan(self, j: int, predicate: Predicate) -> MatchScan:
-        """The resumable match scan for level ``j`` (lazy columns).
-
-        Scans persist across queries — the structure is static, so a
-        scan can only ever be extended, never invalidated; repeats of a
-        predicate (batches, guard retries, probe-then-fetch within one
-        descent) resume the same traversal.  Level 0 of the small-k
-        structure shares the owning index's ground columns.
-        """
-        return self._level_cache(j).get(self._level_columns(j), predicate)
 
     # ------------------------------------------------------------------
     def top_f(
@@ -195,56 +149,21 @@ class _TopFStructure:
         return answer
 
     def _query_level(self, j: int, predicate: Predicate) -> List[Element]:
-        # The columnar branches answer each probe/fetch from the level's
-        # flat weight-descending columns instead of the per-level black
-        # box.  Branch conditions, counters, and answers are identical:
-        # a columnar probe truncates iff strictly more than ``cap``
-        # elements match (the legacy condition), and under distinct
-        # weights both paths produce the same unique top-f set.
         level = self.levels[j]
         index = self.indexes[j]
-        columnar = self._columnar
         cap = math.ceil(self.params.slack * self.f)
         if index is None:
             # Bottom of the recursion: |R_h| <= 4f, scan it.
-            if columnar:
-                return list(self._level_scan(j, predicate).first(self.f))
             matching = [e for e in level if predicate.matches(e.obj)]
             return select_top_k(matching, self.f)
-        # Visit-promoted columnar: the per-level structures answer
-        # selective probes in sublinear time, so a *cold* flat scan
-        # would lose to them.  First visit of a (level, predicate)
-        # stays on the structure — the visit costs two dict ops, and
-        # any complete legacy result (a non-truncated probe is the
-        # full match set, a fetch the full ``weight >= tau`` prefix)
-        # is recorded as a seed.  The second visit promotes to a live
-        # scan: dense predicates prove truncation by early exit, sparse
-        # ones materialize their seeded match set, and further repeats
-        # (batch windows, guard retries, ladder re-descents) answer
-        # from the columns without re-traversing.
-        if columnar:
-            cache = self._level_cache(j)
-            columns = self._level_columns(j)
-            scan = cache.visit(columns, predicate)
-        else:
-            cache = columns = scan = None
         self.stats.monitored_probes += 1
-        if scan is not None:
-            probe = scan.probe(cap)
-        else:
-            probe = index.query(predicate, -math.inf, limit=cap)
-            if cache is not None and not probe.truncated:
-                cache.record_seed(probe.elements, len(columns))
+        probe = index.query(predicate, -math.inf, limit=cap)
         if not probe.truncated:
             # |q(R_j)| <= 4f: the probe fetched everything; k-select.
             return select_top_k(probe.elements, self.f)
         if j + 1 >= len(self.levels):
             # The chain stopped early (saturated sampling rate): exact query.
             self.stats.fallbacks += 1
-            if columnar:
-                # Full traversal either way — promote and keep the scan.
-                scan = scan or self._level_scan(j, predicate)
-                return list(scan.all_matches()[: self.f])
             exact = index.query(predicate, -math.inf)
             return select_top_k(exact.elements, self.f)
         # |q(R_j)| > 4f: consult the next core-set for a threshold.
@@ -253,21 +172,11 @@ class _TopFStructure:
         if rank <= len(deeper):
             threshold = deeper[rank - 1].weight
             self.stats.threshold_fetches += 1
-            if scan is not None:
-                fetched = scan.fetch(threshold)
-            else:
-                fetched = index.query(predicate, threshold)
-                if cache is not None:
-                    cache.record_seed(
-                        fetched.elements, columns.count_at_least(threshold)
-                    )
+            fetched = index.query(predicate, threshold)
             if len(fetched.elements) >= self.f:
                 return select_top_k(fetched.elements, self.f)
         # The sampled rank fell outside its window — exact fallback.
         self.stats.fallbacks += 1
-        if columnar:
-            scan = scan or self._level_scan(j, predicate)
-            return list(scan.all_matches()[: self.f])
         exact = index.query(predicate, -math.inf)
         return select_top_k(exact.elements, self.f)
 
@@ -307,6 +216,13 @@ class WorstCaseTopKIndex(TopKIndex):
     rng / seed:
         Randomness for core-set sampling (construction only — queries
         are deterministic, as Theorem 1's bounds are worst-case).
+    columnar:
+        ``True`` (the default) mirrors a RAM-resident ``D`` into
+        weight-descending columns and answers every query through
+        :func:`~repro.core.columnar.columnar_top_k`, whose structure
+        probe runs on the ground index with the regime's cap; ``False``
+        keeps every query on the paper's core-set descent.  EM grounds
+        always do.
     """
 
     def __init__(
@@ -317,7 +233,7 @@ class WorstCaseTopKIndex(TopKIndex):
         B: int = 2,
         rng: Optional[random.Random] = None,
         seed: int = 0,
-        columnar: Optional[bool] = None,
+        columnar: bool = True,
     ) -> None:
         self.params = params if params is not None else TuningParams()
         self._elements = list(elements)
@@ -330,19 +246,17 @@ class WorstCaseTopKIndex(TopKIndex):
         rng = rng if rng is not None else random.Random(seed)
 
         self._ground = factory(self._elements)
-        self._init_columnar(columnar)
+        self._init_columns(columnar)
         q_pri = self._ground.query_cost_bound()
         self.f = min(
             self.params.small_k_cutoff(B, q_pri),
             max(1, len(self._elements)),
         )
         # Small-k machinery: a top-f structure whose ground level is D
-        # itself (reusing the main prioritized index, and — columnar —
-        # the ground columns, so D is sorted once, not twice).
+        # itself (reusing the main prioritized index).
         self._small = _TopFStructure(
             self._elements, self.f, factory, self.params, rng, self.stats,
             ground_index=self._ground,
-            columnar=self._columnar, ground_columns=self._columns,
         )
         # Large-k machinery: the doubling ladder R[1..h], each level
         # carrying its own top-f structure.
@@ -354,23 +268,16 @@ class WorstCaseTopKIndex(TopKIndex):
             self._ladder.append(
                 _TopFStructure(
                     coreset, self.f, factory, self.params, rng, self.stats,
-                    columnar=self._columnar,
                 )
             )
             self._ladder_rates.append(self.params.coreset_rate(n, K))
 
-    def _init_columnar(self, columnar: Optional[bool]) -> None:
-        """Decide the columnar mode and mirror ``D`` into columns."""
-        if columnar is None:
-            self._columnar = auto_columnar(self._ground)
-        else:
-            self._columnar = bool(columnar) and columnar_enabled()
-        self._columns = ColumnSet(self._elements) if self._columnar else None
-        self._scan_cache = ScanCache() if self._columnar else None
-
-    def _ground_scan(self, predicate: Predicate) -> MatchScan:
-        """The resumable ground-set scan for ``predicate``."""
-        return self._scan_cache.get(self._columns, predicate)
+    def _init_columns(self, columnar: bool) -> None:
+        """Mirror a RAM-resident ``D`` into columns (``None`` otherwise)."""
+        self._columns = (
+            ground_columns(self._ground, self._elements) if columnar else None
+        )
+        self._scans = ScanCache()
 
     # ------------------------------------------------------------------
     @property
@@ -421,56 +328,57 @@ class WorstCaseTopKIndex(TopKIndex):
             return execute_batch(self, requests, **kwargs)
 
     def query(self, predicate: Predicate, k: int) -> List[Element]:
-        """Exact top-k answer, heaviest first."""
+        """Exact top-k answer, heaviest first.
+
+        With ground columns, every query makes one columns-vs-structure
+        decision (:func:`~repro.core.columnar.columnar_top_k`) whose
+        monitored probe runs on ``D``'s structure with the regime's cap
+        ``⌈slack·K⌉``; otherwise the paper's core-set descent answers.
+        """
         self.stats.queries += 1
-        if k <= 0:
+        if k <= 0 or self.n == 0:
             return []
-        n = self.n
-        if n == 0:
-            return []
-        if k <= self.f:
-            top = self._small.top_f(predicate, memo=self._memo)
-            return top[:k]
-        if k >= n / 2:
-            # O(n/B) = O(k/B): scan everything — columnar when the
-            # ground set is RAM-resident, else through the ground
+        i = self._ladder_level(k)
+        if self._columns is not None:
+            cap = None
+            if i is not None:  # K = f at the chain and ladder level 1
+                cap = math.ceil(self.params.slack * self.f * 2 ** max(0, i - 1))
+            return columnar_top_k(
+                self._columns, self._scans, self._ground, self.stats,
+                predicate, k, cap,
+            )
+        if i is None:
+            # O(n/B) = O(k/B): scan everything, through the ground
             # structure so the I/O cost is counted.
             self.stats.full_scans += 1
-            if self._columnar:
-                return list(self._ground_scan(predicate).first(k))
             result = self._ground.query(predicate, -math.inf)
             return select_top_k(result.elements, k)
-        return self._large_k(predicate, k)
+        if i == 0:
+            top = self._small.top_f(predicate, memo=self._memo)
+            return top[:k]
+        return self._large_k(predicate, k, i)
 
-    def _large_k(self, predicate: Predicate, k: int) -> List[Element]:
-        """Queries with ``f < k < n/2`` via the doubling ladder."""
+    def _ladder_level(self, k: int) -> Optional[int]:
+        """Which structure answers ``k``: ``0`` is the small-k chain
+        (``k <= f``), ``i >= 1`` the doubling-ladder level with
+        ``K = 2^{i-1} f`` (the smallest ``>= k``), and ``None`` a full
+        scan of ``D`` (``k >= n/2``, or ``k`` past the ladder)."""
+        if k <= self.f:
+            return 0
+        if k >= self.n / 2:
+            return None
         # Smallest i (1-based) with 2^{i-1} f >= k; K in [k, 2k).
         i = max(1, math.ceil(math.log2(k / self.f)) + 1)
         while (2 ** (i - 1)) * self.f < k:  # guard against float rounding
             i += 1
-        if i > len(self._ladder):
-            self.stats.full_scans += 1
-            if self._columnar:
-                return list(self._ground_scan(predicate).first(k))
-            result = self._ground.query(predicate, -math.inf)
-            return select_top_k(result.elements, k)
+        return i if i <= len(self._ladder) else None
+
+    def _large_k(self, predicate: Predicate, k: int, i: int) -> List[Element]:
+        """Queries with ``f < k < n/2`` via doubling-ladder level ``i``."""
         K = (2 ** (i - 1)) * self.f
         cap = math.ceil(self.params.slack * K)
-        # Visit-promoted, as in ``_TopFStructure._query_level``: first
-        # visits stay on the sublinear ground structure (complete
-        # results recorded as scan seeds), repeats answer columnar.
-        scan = (
-            self._scan_cache.visit(self._columns, predicate)
-            if self._columnar
-            else None
-        )
         self.stats.monitored_probes += 1
-        if scan is not None:
-            probe = scan.probe(cap)
-        else:
-            probe = self._ground.query(predicate, -math.inf, limit=cap)
-            if self._columnar and not probe.truncated:
-                self._scan_cache.record_seed(probe.elements, len(self._columns))
+        probe = self._ground.query(predicate, -math.inf, limit=cap)
         if not probe.truncated:
             return select_top_k(probe.elements, k)
         # |q(D)| > 4K: obtain a threshold from the ladder's top-f answer.
@@ -479,20 +387,10 @@ class WorstCaseTopKIndex(TopKIndex):
         if rank <= len(top_f):
             threshold = top_f[rank - 1].weight
             self.stats.threshold_fetches += 1
-            if scan is not None:
-                fetched = scan.fetch(threshold)
-            else:
-                fetched = self._ground.query(predicate, threshold)
-                if self._columnar:
-                    self._scan_cache.record_seed(
-                        fetched.elements, self._columns.count_at_least(threshold)
-                    )
+            fetched = self._ground.query(predicate, threshold)
             if len(fetched.elements) >= k:
                 return select_top_k(fetched.elements, k)
         self.stats.fallbacks += 1
-        if self._columnar:
-            scan = scan or self._ground_scan(predicate)
-            return list(scan.all_matches()[:k])
         exact = self._ground.query(predicate, -math.inf)
         return select_top_k(exact.elements, k)
 
@@ -583,7 +481,7 @@ class WorstCaseTopKIndex(TopKIndex):
         self.applied_lsn = 0
         self._memo = None
         self._ground = factory(elements)
-        self._init_columnar(None)
+        self._init_columns(True)
         self.f = state["f"]
 
         def hierarchy_from(hstate: dict) -> CoresetHierarchy:
@@ -601,7 +499,6 @@ class WorstCaseTopKIndex(TopKIndex):
             elements, self.f, factory, self.params, rng, self.stats,
             ground_index=self._ground,
             hierarchy=hierarchy_from(state["small"]),
-            columnar=self._columnar, ground_columns=self._columns,
         )
         self._ladder = []
         for hstate in state["ladder"]:
@@ -610,7 +507,6 @@ class WorstCaseTopKIndex(TopKIndex):
                 _TopFStructure(
                     hierarchy.levels[0], self.f, factory, self.params, rng,
                     self.stats, hierarchy=hierarchy,
-                    columnar=self._columnar,
                 )
             )
         self._ladder_rates = list(state["ladder_rates"])

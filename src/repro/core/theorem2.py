@@ -35,11 +35,9 @@ from dataclasses import asdict
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.columnar import (
-    ColumnSet,
-    MatchScan,
     ScanCache,
-    auto_columnar,
-    columnar_enabled,
+    columnar_top_k,
+    ground_columns,
     predicate_key,
 )
 from repro.core.interfaces import (
@@ -82,6 +80,11 @@ class ExpectedTopKIndex(TopKIndex):
         Optional override for ``Q_max(n)`` as a function of ``n``; by
         default a probe max structure on a small sample supplies its own
         :meth:`query_cost_bound`.
+    columnar:
+        ``True`` (the default) mirrors a RAM-resident ground set into
+        weight-descending columns and answers unbudgeted queries through
+        :func:`~repro.core.columnar.columnar_top_k`; ``False`` keeps every
+        query on the paper's ladder rounds.  EM grounds always do.
     """
 
     def __init__(
@@ -94,7 +97,7 @@ class ExpectedTopKIndex(TopKIndex):
         rng: Optional[random.Random] = None,
         seed: int = 0,
         q_max_bound: Optional[Callable[[int], float]] = None,
-        columnar: Optional[bool] = None,
+        columnar: bool = True,
     ) -> None:
         self.params = params if params is not None else TuningParams()
         self.B = B
@@ -105,10 +108,7 @@ class ExpectedTopKIndex(TopKIndex):
         self.stats = ReductionStats()
         self.applied_lsn = 0
         self._memo: Optional[dict] = None
-        #: ``None`` auto-detects per build (RAM ground -> on, EM -> off);
-        #: an explicit bool pins the mode (tests of the ladder machinery
-        #: pass ``False`` to exercise the black-box rounds).
-        self._columnar_mode = columnar
+        self._columnar = columnar
         self._build(list(elements))
 
     # ------------------------------------------------------------------
@@ -121,15 +121,13 @@ class ExpectedTopKIndex(TopKIndex):
         n = len(elements)
         self._built_n = max(1, n)
         self._ground = self._prioritized_factory(elements)
-        if self._columnar_mode is None:
-            self._columnar = auto_columnar(self._ground)
-        else:
-            self._columnar = bool(self._columnar_mode) and columnar_enabled()
         # The ground set mirrored as weight-descending columns, plus the
         # per-predicate resumable scans over it.  Scans are dropped on
         # every update (insert/delete bump the column version and clear
         # the cache), so a scan can never serve a stale prefix.
-        self._columns = ColumnSet(elements) if self._columnar else None
+        self._columns = (
+            ground_columns(self._ground, elements) if self._columnar else None
+        )
         self._scans = ScanCache()
         if self._q_max_bound is not None:
             q_max = self._q_max_bound(max(2, n))
@@ -258,9 +256,8 @@ class ExpectedTopKIndex(TopKIndex):
         # Columns are a derived mirror of the element list, not state:
         # rebuilding them deterministically keeps snapshot formats
         # unchanged while the restored index answers columnar too.
-        self._columnar_mode = None
-        self._columnar = auto_columnar(self._ground)
-        self._columns = ColumnSet(elements) if self._columnar else None
+        self._columnar = True
+        self._columns = ground_columns(self._ground, elements)
         self._scans = ScanCache()
         self._K = list(state["K"])
         if len(state["samples"]) != len(self._K):
@@ -291,9 +288,11 @@ class ExpectedTopKIndex(TopKIndex):
         thresholded fetch — so queries the batch planner did not merge
         (or a guard retry re-running a query after a transient fault
         aborted it mid-ladder) reuse completed rounds instead of
-        repeating them.  Updates inside the window clear the memo: a
-        memoized probe must never survive a state change.  Nested
-        windows share the outermost memo.
+        repeating them.  (Columnar queries need no window: their live
+        scans already persist in the index's scan cache.)  Updates
+        inside the window clear the memo: a memoized probe must never
+        survive a state change.  Nested windows share the outermost
+        memo.
         """
         previous = self._memo
         self._memo = {} if previous is None else previous
@@ -329,28 +328,30 @@ class ExpectedTopKIndex(TopKIndex):
         bound per-query cost and take over with its degradation ladder.
         With the default ``None`` the ladder runs to its end and
         finishes with the step-6(b) full scan, exactly as before.
+
+        An unbudgeted query on an index with ground columns makes one
+        columns-vs-structure decision instead
+        (:func:`~repro.core.columnar.columnar_top_k`, with step 1's
+        monitored-probe cap); budgeted queries stay on the rounds, whose
+        contract is "this many rounds, then ``RetryBudgetExhausted``".
         """
         self.stats.queries += 1
         if k <= 0 or self.n == 0:
             return []
-        if round_budget is None and self._columnar:
-            # Columnar direct path: the ground columns are weight-
-            # descending, so the first k matches of one resumable scan
-            # *are* the answer — the sample ladder exists to simulate
-            # exactly this scan order on black boxes that cannot
-            # provide it.  Budgeted queries stay on the faithful
-            # rounds: their contract is "this many ladder rounds, then
-            # RetryBudgetExhausted", which a direct answer would void.
-            return self._columnar_query(predicate, k)
-        n = self.n
-        if not self._K or k > self._K[-1]:
-            # k beyond the ladder (or no ladder at all): scan D.
+        # Queries with k < K_1 are treated as top-ceil(K_1) then
+        # k-selected; k beyond the ladder (or no ladder) scans D.
+        k_eff = max(k, math.ceil(self._K[0])) if self._K else k
+        j = None
+        if self._K and k_eff <= self._K[-1]:
+            j = self._first_level_at_least(k_eff)
+        if round_budget is None and self._columns is not None:
+            cap = None if j is None else math.ceil(self.params.slack * self._K[j])
+            return columnar_top_k(
+                self._columns, self._scans, self._ground, self.stats,
+                predicate, k, cap,
+            )
+        if j is None:
             return self._scan_answer(predicate, k)
-        # Queries with k < K_1 are treated as top-ceil(K_1) then k-selected.
-        k_eff = max(k, math.ceil(self._K[0]))
-        if k_eff > self._K[-1]:
-            return self._scan_answer(predicate, k)
-        j = self._first_level_at_least(k_eff)
         rounds_used = 0
         while j < len(self._K):
             if round_budget is not None and rounds_used >= round_budget:
@@ -366,36 +367,6 @@ class ExpectedTopKIndex(TopKIndex):
             j += 1
         # Step 6(b): every round failed — read the whole of D.
         return self._scan_answer(predicate, k)
-
-    def _columnar_query(self, predicate: Predicate, k: int) -> List[Element]:
-        """Top-k via one early-exit scan of the ground columns.
-
-        Inside a ``batched()`` window the scan itself is the memoized
-        artifact — a ``(columns, frontier, match positions)`` triple,
-        not a copied answer list — so the window's repeats (same
-        predicate at other ``k`` values, guard retries) resume the
-        traversal; a repeat already covered by the frontier is a memo
-        hit.  Counters keep their meanings: a ladder-answerable ``k``
-        counts one monitored probe (the scan plays the probe's role), a
-        beyond-ladder ``k`` counts a full scan.
-        """
-        memo = self._memo
-        scan: Optional[MatchScan] = None
-        key = None
-        if memo is not None:
-            key = ("cscan", predicate_key(predicate))
-            scan = memo.get(key)
-            if scan is not None:
-                self.stats.memo_hits += 1
-        if scan is None:
-            scan = self._scans.get(self._columns, predicate)
-            if memo is not None:
-                memo[key] = scan
-        if not self._K or k > self._K[-1]:
-            self.stats.full_scans += 1
-        else:
-            self.stats.monitored_probes += 1
-        return list(scan.first(k))
 
     def _first_level_at_least(self, k_eff: float) -> int:
         """Smallest ladder index ``i`` (0-based) with ``K_i >= k_eff``."""
@@ -421,23 +392,10 @@ class ExpectedTopKIndex(TopKIndex):
         memo, pkey = self._memo, self._memo_key(predicate)
         # Step 1: if |q(D)| <= 4K_j the monitored probe fetches everything.
         # Deterministic in (predicate, cap), so a batch window reuses it.
-        # Visit-promoted: a cold flat scan loses to a sublinear ground
-        # structure on selective predicates, so a predicate's first
-        # visit stays on the structure (complete results recorded as
-        # scan seeds) and repeats answer from the columns — see
-        # ``theorem1._query_level`` for the full rationale.
-        scan = (
-            self._scans.visit(self._columns, predicate) if self._columnar else None
-        )
         probe = memo.get(("probe", pkey, cap)) if memo is not None else None
         if probe is None:
             self.stats.monitored_probes += 1
-            if scan is not None:
-                probe = scan.probe(cap)
-            else:
-                probe = self._ground.query(predicate, -math.inf, limit=cap)
-                if self._columnar and not probe.truncated:
-                    self._scans.record_seed(probe.elements, len(self._columns))
+            probe = self._ground.query(predicate, -math.inf, limit=cap)
             if memo is not None:
                 memo[("probe", pkey, cap)] = probe
         else:
@@ -458,14 +416,7 @@ class ExpectedTopKIndex(TopKIndex):
         fetched = memo.get(("fetch", pkey, tau, cap)) if memo is not None else None
         if fetched is None:
             self.stats.threshold_fetches += 1
-            if scan is not None:
-                fetched = scan.fetch(tau, limit=cap)
-            else:
-                fetched = self._ground.query(predicate, tau, limit=cap)
-                if self._columnar and not fetched.truncated:
-                    self._scans.record_seed(
-                        fetched.elements, self._columns.count_at_least(tau)
-                    )
+            fetched = self._ground.query(predicate, tau, limit=cap)
             if memo is not None:
                 memo[("fetch", pkey, tau, cap)] = fetched
         else:
@@ -483,12 +434,9 @@ class ExpectedTopKIndex(TopKIndex):
 
         Routed through the prioritized structure with ``tau = -inf`` so
         the scan's cost is *counted* (I/Os in EM mode, ops in RAM mode)
-        rather than silently free; columnar mode answers from the flat
-        ground columns instead (early exit at ``k`` matches).
+        rather than silently free.
         """
         self.stats.full_scans += 1
-        if self._columnar:
-            return list(self._scans.get(self._columns, predicate).first(k))
         result = self._ground.query(predicate, -math.inf)
         return select_top_k(result.elements, k)
 

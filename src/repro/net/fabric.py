@@ -53,7 +53,7 @@ from repro.resilience.errors import (
 MSG_WAL_SHIP = "wal_ship"        # primary -> follower: committed WAL groups
 MSG_LEASE_RENEW = "lease_renew"  # primary -> follower: lease heartbeat / epoch announce
 MSG_RESYNC = "resync"            # source -> target: anti-entropy snapshot handoff
-MSG_PROBE = "probe"              # coordinator -> shard: scatter-gather top-k' probe
+MSG_PROBE = "probe"              # coordinator -> shard: scatter-gather top-k probe
 
 _DEDUPE_CAPACITY = 4096
 

@@ -10,8 +10,8 @@ provably exact (see :mod:`repro.sharding.scatter`):
   bucket -> shard assignment, bumped on every split/merge so stale
   routes retry instead of answering wrong;
 * :class:`ScatterGatherExecutor` — max-probe bounds, descending-order
-  visits with a running k-th-weight threshold, geometric per-shard
-  escalation, and a ``heapq.merge`` gather;
+  visits with a running k-th-weight threshold, one top-k probe per
+  visited shard, and a ``heapq.merge`` gather;
 * :class:`ShardedTopKIndex` — the facade: durable/replicated shard
   machines, WAL-protected online splits and merges, the shard-loss
   degradation ladder, and batch fan-out for the serving engine.

@@ -15,13 +15,11 @@ one-dimensional top-k structures):
    *every* remaining shard is pruned: their best matching element
    already cannot crack the global top-k (collected k-th only rises as
    more shards report, so the check is safe against the final answer);
-3. **per-shard top-k' probes with geometric escalation** — a visited
-   shard is asked for its top ``k'`` where ``k'`` starts at
-   ``~k/S`` and grows geometrically (Theorem 2's escalation ladder,
-   applied across shards instead of sample levels) until the shard is
-   exhausted, its tail falls below the running threshold, or ``k'``
-   reaches ``k`` — the per-shard cap, since no shard contributes more
-   than ``k`` elements;
+3. **one top-k probe per visited shard** — no shard contributes more
+   than ``k`` elements, so each visited shard is asked once for its
+   top ``k``; a shorter first probe would only leave out elements
+   below the running k-th weight, changing neither the contacted set
+   nor the answer;
 4. **gather** — the per-shard descending runs are k-way merged with
    :func:`merge_topk` (``heapq.merge`` + early cutoff at ``k``: the
    merge stops the moment ``k`` elements are out, instead of
@@ -100,11 +98,10 @@ class ProbeTrace:
     partial_ok: bool = False  # this query's allow_partial decision
     shard_slots: int = 0      # shards in the map when the query planned
     max_probes: int = 0       # bound probes (one per mapped shard)
-    shard_probes: int = 0     # top-k' traversals actually issued
-    shards_contacted: int = 0 # distinct shards that saw a top-k' probe
+    shard_probes: int = 0     # top-k probes actually run
+    shards_contacted: int = 0 # distinct shards that saw a top-k probe
     shards_pruned: int = 0    # shards skipped by the threshold
     shards_empty: int = 0     # shards whose bound probe found no match
-    escalations: int = 0      # k' regrows within one shard
     shard_losses: int = 0
     shard_recoveries: int = 0
     partial: bool = False     # at least one lost shard was skipped
@@ -117,7 +114,6 @@ class ProbeTrace:
         stats.shards_contacted += self.shards_contacted
         stats.shards_pruned += self.shards_pruned
         stats.shards_empty += self.shards_empty
-        stats.escalations += self.escalations
         stats.shard_losses += self.shard_losses
         stats.shard_recoveries += self.shard_recoveries
         if self.partial:
@@ -157,14 +153,11 @@ class ScatterGatherExecutor:
     router:
         Source of map snapshots and epoch validation.
     probe_fn:
-        ``(shard, predicate, k', trace) -> list | None`` — one fault-
+        ``(shard, predicate, k, trace) -> list | None`` — one fault-
         handled backend probe, supplied by the owning
         :class:`~repro.sharding.sharded.ShardedTopKIndex` (it owns the
         shard-loss ladder).  ``None`` means the shard is lost and the
         query continues partial.
-    escalation_factor:
-        Geometric growth of the per-shard ``k'`` (paper-flavoured
-        default 4, the ``4K`` slack constant).
     max_map_retries:
         Scatter-gathers discarded for epoch mismatches before
         :class:`StaleShardMap` escapes.
@@ -174,12 +167,10 @@ class ScatterGatherExecutor:
         self,
         router: ShardRouter,
         probe_fn: Callable[[Shard, Predicate, int, ProbeTrace], Optional[List[Element]]],
-        escalation_factor: int = 4,
         max_map_retries: int = 4,
     ) -> None:
         self.router = router
         self._probe_fn = probe_fn
-        self.escalation_factor = max(2, escalation_factor)
         self.max_map_retries = max(1, max_map_retries)
         #: Serializes every mutation of the shared cumulative stats —
         #: the owning index increments its own counters under it too.
@@ -235,17 +226,18 @@ class ScatterGatherExecutor:
             else:
                 bounds.append((-top.weight, shard.name, shard))
         bounds.sort()  # descending bound; name breaks ties deterministically
-        # Phase 2+3: descend, prune at the running threshold, escalate k'.
+        # Phase 2+3: descend, prune at the running threshold, probe top-k.
         kth = _KthTracker(k)
         runs: List[List[Element]] = []
         for visited, (neg_bound, _name, shard) in enumerate(bounds):
             if kth.full and -neg_bound <= kth.threshold:
                 trace.shards_pruned += len(bounds) - visited
                 break
-            items = self._probe_shard(shard, predicate, k, kth.threshold, trace)
+            items = self._probe_fn(shard, predicate, k, trace)
             if items is None:
-                trace.partial = True
+                trace.partial = True  # lost shard: the owner opted into partial
                 continue
+            trace.shard_probes += 1
             trace.shards_contacted += 1
             if items:
                 runs.append(items)
@@ -253,34 +245,6 @@ class ScatterGatherExecutor:
                     kth.offer(element.weight)
         # Phase 4: k-way merge with early cutoff.
         return merge_topk(runs, k)
-
-    def _probe_shard(
-        self,
-        shard: Shard,
-        predicate: Predicate,
-        k: int,
-        threshold: float,
-        trace: ProbeTrace,
-    ) -> Optional[List[Element]]:
-        """The shard's candidates, growing ``k'`` geometrically.
-
-        ``threshold`` is the running k-th weight *before* this shard
-        reports — a lower bound on the final k-th, so stopping once the
-        shard's tail drops below it can never lose an answer element.
-        """
-        active = max(1, self.router.num_shards)
-        k_prime = min(k, max(1, math.ceil(k / active)))
-        while True:
-            items = self._probe_fn(shard, predicate, k_prime, trace)
-            if items is None:
-                return None  # lost shard: the owner opted into partial
-            trace.shard_probes += 1
-            if len(items) < k_prime or k_prime >= k:
-                return items  # exhausted the shard, or hit the per-shard cap
-            if threshold > -math.inf and items[-1].weight < threshold:
-                return items  # everything deeper is below the threshold
-            trace.escalations += 1
-            k_prime = min(k, k_prime * self.escalation_factor)
 
 
 @dataclass

@@ -105,11 +105,11 @@ class ShardingStats:
     deletes: int = 0
     shard_slots: int = 0       # sum over queries of shards in the map
     max_probes: int = 0
-    shard_probes: int = 0      # top-k' traversals issued (escalations included)
+    shard_probes: int = 0      # top-k probes run (one per contacted shard)
     shards_contacted: int = 0  # distinct shards probed per query, summed
     shards_pruned: int = 0     # shards skipped by the running threshold
     shards_empty: int = 0      # shards whose bound probe matched nothing
-    escalations: int = 0
+    escalations: int = 0       # always 0: a contacted shard is probed once
     stale_map_retries: int = 0
     splits: int = 0
     merges: int = 0
@@ -190,7 +190,6 @@ class ShardedTopKIndex(TopKIndex):
         M: Optional[int] = None,
         commit_interval: int = 1,
         allow_partial: bool = False,
-        escalation_factor: int = 4,
         max_map_retries: int = 4,
         fault_plans: Optional[Sequence[Optional[FaultPlan]]] = None,
         replica_set_kwargs: Optional[dict] = None,
@@ -246,7 +245,6 @@ class ShardedTopKIndex(TopKIndex):
         self.executor = ScatterGatherExecutor(
             self.router,
             self._probe_backend,
-            escalation_factor=escalation_factor,
             max_map_retries=max_map_retries,
         )
         # One lock for every cumulative-stats mutation: the executor
@@ -434,7 +432,7 @@ class ShardedTopKIndex(TopKIndex):
         return result.answer
 
     def _probe_backend(
-        self, shard: Shard, predicate: Predicate, k_prime: int, trace: ProbeTrace
+        self, shard: Shard, predicate: Predicate, k: int, trace: ProbeTrace
     ) -> Optional[List[Element]]:
         """One fault-handled backend probe (the executor's callback).
 
@@ -452,7 +450,7 @@ class ShardedTopKIndex(TopKIndex):
                         raise SimulatedCrash(
                             f"shard {shard.name!r} machine is down"
                         )
-                    return self._backend_query(shard, predicate, k_prime)
+                    return self._backend_query(shard, predicate, k)
             except PartitionedError:
                 # A link problem, not a machine problem: the shard is
                 # fine, we just cannot reach it.  Degrade through the
@@ -494,7 +492,7 @@ class ShardedTopKIndex(TopKIndex):
         )
 
     def _backend_query(
-        self, shard: Shard, predicate: Predicate, k_prime: int
+        self, shard: Shard, predicate: Predicate, k: int
     ) -> List[Element]:
         """One backend probe, over the fabric when one is attached.
 
@@ -507,7 +505,7 @@ class ShardedTopKIndex(TopKIndex):
         any coordination.
         """
         if self.fabric is None:
-            return shard.backend.query(predicate, k_prime)
+            return shard.backend.query(predicate, k)
         self.fabric.register(shard.name, self._probe_receive)
         with self._stats_lock:
             self._probe_serial += 1
@@ -519,7 +517,7 @@ class ShardedTopKIndex(TopKIndex):
                     self.coordinator,
                     shard.name,
                     MSG_PROBE,
-                    (predicate, k_prime),
+                    (predicate, k),
                     key=key,
                 )
             except PartitionedError as exc:
@@ -535,8 +533,8 @@ class ShardedTopKIndex(TopKIndex):
             raise ShardUnavailable(
                 f"no shard named {message.dst!r}", shard=message.dst
             )
-        predicate, k_prime = message.payload
-        return shard.backend.query(predicate, k_prime)
+        predicate, k = message.payload
+        return shard.backend.query(predicate, k)
 
     # ------------------------------------------------------------------
     # Batched / parallel execution

@@ -1,16 +1,19 @@
-"""The columnar hot path: columns, scans, compiled predicates.
+"""The columnar hot path: columns, scans, compiled predicates, the rule.
 
-Three layers of guarantees:
+Four layers of guarantees:
 
 1. **Primitive semantics** — :class:`ColumnSet` / :class:`MatchScan`
-   probe, fetch, and top-k results match brute force under exactly the
-   legacy truncation condition.
+   top-k results match brute force, and scans resume one traversal.
 2. **Compiled = virtual** — every registered predicate compiler is
    extensionally identical to its class's ``matches`` across the
    workload registry's generated predicate shapes.
-3. **Answer identity** — a columnar reduction, the same reduction
-   pinned to the legacy Element path, and the brute-force oracle agree
-   on every query of every registered problem, and snapshot/restore
+3. **The one decision** — :func:`columnar_top_k` answers dense
+   predicates from the first scan, sparse ones from one structure
+   probe (repeats from the seeded scan), and medium ones from the scan
+   after a truncated probe, in both reductions.
+4. **Answer identity** — a columnar reduction, the same reduction
+   built with ``columnar=False``, and the brute-force oracle agree on
+   every query of every registered problem, and snapshot/restore
    round-trips (through the durability codec) preserve that.
 """
 
@@ -23,13 +26,12 @@ import pytest
 from oracles import oracle_top_k
 from repro.bench.workloads import PROBLEMS, make_problem
 from repro.core.columnar import (
+    FIRST_SCAN,
     ColumnSet,
     DescendingElements,
-    MatchScan,
     ScanCache,
-    columnar_disabled,
-    columnar_enabled,
     compiled_matcher,
+    ground_columns,
     next_structure_id,
     predicate_key,
 )
@@ -60,13 +62,6 @@ class TestColumnSet:
         for i, element in enumerate(columns.elements):
             assert columns.objs[i] == element.obj
             assert columns.neg_weights[i] == -element.weight
-
-    def test_count_at_least_matches_brute_force(self):
-        elements = make_toy_elements(200, seed=2)
-        columns = ColumnSet(elements)
-        for tau in [-1e9, 0.0, 3.5, elements[0].weight, 1e9]:
-            expected = sum(1 for e in elements if e.weight >= tau)
-            assert columns.count_at_least(tau) == expected
 
     def test_position_of_is_the_stable_index_map(self):
         elements = make_toy_elements(150, seed=3)
@@ -106,42 +101,27 @@ class TestMatchScan:
             assert isinstance(got, DescendingElements)
             assert list(got) == self.expected[:k]
 
-    def test_probe_truncates_under_the_legacy_condition(self):
-        t = len(self.expected)
-        for limit in (0, 1, t - 1, t, t + 10):
-            scan = self.columns.scan(self.predicate)
-            result = scan.probe(limit)
-            assert result.truncated == (t > limit)
-            if not result.truncated:
-                assert list(result.elements) == self.expected
-
-    def test_fetch_matches_brute_force_thresholding(self):
-        taus = [-1e9, self.expected[len(self.expected) // 2].weight, 1e9]
-        for tau in taus:
-            qualifying = [e for e in self.expected if e.weight >= tau]
-            scan = self.columns.scan(self.predicate)
-            result = scan.fetch(tau)
-            assert not result.truncated
-            assert list(result.elements) == qualifying
-            for limit in (0, len(qualifying), len(qualifying) + 3):
-                fresh = self.columns.scan(self.predicate)
-                bounded = fresh.fetch(tau, limit=limit)
-                assert bounded.truncated == (len(qualifying) > limit)
-                if not bounded.truncated:
-                    assert list(bounded.elements) == qualifying
-
     def test_scan_resumes_one_traversal_across_primitives(self):
         scan = self.columns.scan(self.predicate)
         scan.first(3)
         frontier_after_first = scan.upto
-        scan.probe(len(self.expected) + 50)  # forces a full scan
-        assert scan.upto >= frontier_after_first
-        full_frontier = scan.upto
-        # Every further primitive reuses the completed traversal.
-        scan.fetch(-1e9)
-        scan.first(7)
-        assert scan.upto == full_frontier
-        assert list(scan.all_matches()) == self.expected
+        scan.ensure_prefix(len(self.columns))  # a full traversal
+        assert scan.upto == len(self.columns) >= frontier_after_first
+        assert scan.exhausted
+        # Every further answer reuses the completed traversal.
+        assert list(scan.first(7)) == self.expected[:7]
+        assert list(scan.first(len(self.expected) + 5)) == self.expected
+        assert scan.upto == len(self.columns)
+
+    def test_seed_prefix_resolves_on_next_use(self):
+        scan = self.columns.scan(self.predicate)
+        scan.ensure_prefix(10)
+        # An untruncated structure probe is every match, in any order.
+        scan.seed_prefix(list(reversed(self.expected)), len(self.columns))
+        assert scan.upto == 10  # recorded in O(1), not yet resolved
+        assert scan.exhausted  # consulting the scan installs the seed
+        assert scan.matches_found() == len(self.expected)
+        assert list(scan.first(len(self.expected))) == self.expected
 
     def test_stale_scan_detected_after_mutation(self):
         scan = self.columns.scan(self.predicate)
@@ -174,51 +154,6 @@ class TestScanCache:
         assert len(cache) <= 4
         cache.clear()
         assert len(cache) == 0
-
-    def test_visit_promotes_on_second_visit(self):
-        elements = make_toy_elements(120, seed=10)
-        columns = ColumnSet(elements)
-        cache = ScanCache()
-        predicate = RangePredicate(20.0, 80.0)
-        assert cache.visit(columns, predicate) is None  # first: recorded
-        scan = cache.visit(columns, predicate)  # second: promoted
-        assert scan is not None and scan.columns is columns
-        assert cache.visit(columns, predicate) is scan  # further: cached
-        assert cache.peek(predicate) is scan
-
-    def test_visit_seed_carries_into_promoted_scan(self):
-        elements = make_toy_elements(120, seed=11)
-        columns = ColumnSet(elements)
-        cache = ScanCache()
-        predicate = RangePredicate(30.0, 70.0)
-        expected = [e for e in columns.elements if predicate.matches(e.obj)]
-        assert cache.visit(columns, predicate) is None
-        # The caller's legacy result covered the whole set: full seed.
-        cache.record_seed(list(expected), len(columns))
-        scan = cache.visit(columns, predicate)
-        assert scan.exhausted  # seeded knowledge, not a fresh traversal
-        assert list(scan.all_matches()) == expected
-
-    def test_record_seed_without_visit_is_noop(self):
-        elements = make_toy_elements(40, seed=12)
-        columns = ColumnSet(elements)
-        cache = ScanCache()
-        cache.record_seed([elements[0]], len(columns))  # no visit: dropped
-        predicate = RangePredicate(0.0, 100.0)
-        assert cache.visit(columns, predicate) is None
-        scan = cache.visit(columns, predicate)
-        assert scan.upto == 0 and not scan.exhausted
-
-    def test_visit_record_survives_pressure_then_stale_columns(self):
-        elements = make_toy_elements(60, seed=13)
-        columns = ColumnSet(elements)
-        cache = ScanCache(max_entries=4)
-        predicate = RangePredicate(10.0, 50.0)
-        assert cache.visit(columns, predicate) is None
-        columns.insert(Element(5.0, 1e6))  # stale record: version moved
-        assert cache.visit(columns, predicate) is None  # re-recorded
-        scan = cache.visit(columns, predicate)
-        assert scan is not None and scan.fresh()
 
 
 # ----------------------------------------------------------------------
@@ -265,7 +200,133 @@ class TestCompiledMatchers:
 
 
 # ----------------------------------------------------------------------
-# 3. Answer identity: columnar == legacy == oracle, per problem
+# 3. The one decision: first scan, then the structure probe
+# ----------------------------------------------------------------------
+class LoggingPrioritized(ToyPrioritized):
+    """``ToyPrioritized`` logging each query's truncation flag."""
+
+    def __init__(self, elements, log):
+        super().__init__(elements)
+        self.log = log
+
+    def query(self, predicate, tau, limit=None):
+        result = super().query(predicate, tau, limit=limit)
+        self.log.append(result.truncated)
+        return result
+
+
+RULE_N = 2000
+
+
+def _build_theorem2(elements, factory):
+    return ExpectedTopKIndex(elements, factory, ToyMax, seed=1)
+
+
+def _build_theorem1(elements, factory):
+    return WorstCaseTopKIndex(elements, factory, seed=1)
+
+
+@pytest.fixture(params=["theorem2", "theorem1"])
+def rule_index(request):
+    """``(elements, index, log)``: a columnar index whose every
+    structure probe (ground, core-set levels, ladders) lands in ``log``."""
+    elements = make_toy_elements(RULE_N, seed=3)
+    log = []
+    build = {"theorem2": _build_theorem2, "theorem1": _build_theorem1}
+    index = build[request.param](
+        elements, lambda items: LoggingPrioritized(items, log)
+    )
+    assert index._columns is not None
+    log.clear()  # construction-time queries are not query work
+    return elements, index, log
+
+
+def _first_scan_matches(elements, predicate):
+    heaviest = sorted(elements, key=lambda e: -e.weight)[:FIRST_SCAN]
+    return sum(1 for e in heaviest if predicate.matches(e.obj))
+
+
+class TestOneDecision:
+    def test_dense_predicate_answers_within_the_first_scan(self, rule_index):
+        elements, index, log = rule_index
+        predicate = RangePredicate(0.0, 10.0 * RULE_N)  # everything
+        for k in (1, 10, 20):
+            assert index.query(predicate, k) == oracle_top_k(elements, predicate, k)
+        assert log == []  # zero structure probes
+        assert index._scans.peek(predicate).upto == FIRST_SCAN
+
+    def test_sparse_predicate_probes_once_then_answers_from_scan(self, rule_index):
+        elements, index, log = rule_index
+        predicate = RangePredicate(5000.0, 5300.0)
+        k = 20
+        matching = len(oracle_top_k(elements, predicate, RULE_N))
+        assert _first_scan_matches(elements, predicate) < k < matching
+        assert index.query(predicate, k) == oracle_top_k(elements, predicate, k)
+        assert log == [False]  # one untruncated probe: every match
+        hits = index.stats.memo_hits
+        for repeat_k in (k, 5, matching):
+            expected = oracle_top_k(elements, predicate, repeat_k)
+            assert index.query(predicate, repeat_k) == expected
+        assert log == [False]  # repeats answer from the seeded scan
+        assert index.stats.memo_hits == hits + 3
+
+    def test_medium_predicate_finishes_on_scan_after_truncated_probe(
+        self, rule_index
+    ):
+        elements, index, log = rule_index
+        predicate = RangePredicate(1000.0, 2500.0)
+        k = 21
+        assert _first_scan_matches(elements, predicate) < k
+        assert index.query(predicate, k) == oracle_top_k(elements, predicate, k)
+        assert log == [True]  # truncated: more than cap elements match
+        scan = index._scans.peek(predicate)
+        assert FIRST_SCAN < scan.upto < RULE_N
+
+    def test_k_beyond_the_ladder_scans_without_probing(self, rule_index):
+        elements, index, log = rule_index
+        predicate = RangePredicate(5000.0, 5300.0)
+        scans = index.stats.full_scans
+        assert index.query(predicate, RULE_N) == oracle_top_k(
+            elements, predicate, RULE_N
+        )
+        assert log == [] and index.stats.full_scans == scans + 1
+
+
+def test_updates_drop_the_scans():
+    elements = make_toy_elements(RULE_N, seed=3)
+    log = []
+    index = _build_theorem2(
+        elements, lambda items: LoggingPrioritized(items, log)
+    )
+    predicate = RangePredicate(5000.0, 5300.0)
+    current = list(elements)
+    extra = Element(5100.0, 1e6)  # heaviest, and inside the predicate
+    for update in ("insert", "delete"):
+        index.query(predicate, 20)
+        assert len(index._scans) == 1
+        if update == "insert":
+            index.insert(extra)
+            current.append(extra)
+        else:
+            index.delete(extra)
+            current.remove(extra)
+        assert len(index._scans) == 0
+        log.clear()
+        assert index.query(predicate, 20) == oracle_top_k(current, predicate, 20)
+        assert log == [False]  # a fresh decision, not a stale scan
+
+
+def test_ground_columns_skip_em_grounds():
+    class EMGround:
+        ctx = object()  # what an EMContext-carrying structure exposes
+
+    elements = make_toy_elements(20, seed=4)
+    assert ground_columns(EMGround(), elements) is None
+    assert len(ground_columns(ToyPrioritized(elements), elements)) == 20
+
+
+# ----------------------------------------------------------------------
+# 4. Answer identity: columnar == structure-only == oracle, per problem
 # ----------------------------------------------------------------------
 def sweep_queries(problem, index, legacy, rng, ks):
     for predicate in problem.predicates(8, seed=rng.randrange(1 << 20)):
@@ -284,12 +345,12 @@ def test_theorem2_columnar_identical_to_legacy(name):
             problem.elements, problem.prioritized_factory,
             problem.max_factory, seed=23,
         )
-        assert index._columnar, "RAM workloads must engage columnar"
+        assert index._columns is not None, "RAM workloads get columns"
         legacy = ExpectedTopKIndex(
             problem.elements, problem.prioritized_factory,
             problem.max_factory, seed=23, columnar=False,
         )
-        assert not legacy._columnar
+        assert legacy._columns is None
         sweep_queries(problem, index, legacy, rng, ks=(1, 4, n // 3, n + 5))
 
 
@@ -300,31 +361,30 @@ def test_theorem1_columnar_identical_to_legacy(name):
     index = WorstCaseTopKIndex(
         problem.elements, problem.prioritized_factory, seed=29,
     )
-    assert index._columnar
+    assert index._columns is not None
     legacy = WorstCaseTopKIndex(
         problem.elements, problem.prioritized_factory, seed=29, columnar=False,
     )
-    assert not legacy._columnar
+    assert legacy._columns is None
     sweep_queries(problem, index, legacy, rng, ks=(1, 5, 50, 200))
 
 
-def test_global_disable_pins_legacy_at_build():
+def test_columnar_false_pins_structure_path():
     elements = make_toy_elements(120, seed=21)
-    with columnar_disabled():
-        assert not columnar_enabled()
-        t2 = ExpectedTopKIndex(elements, ToyPrioritized, ToyMax, seed=3)
-        t1 = WorstCaseTopKIndex(elements, ToyPrioritized, seed=3)
-    assert columnar_enabled()
-    assert not t2._columnar and not t1._columnar
+    t2 = ExpectedTopKIndex(elements, ToyPrioritized, ToyMax, seed=3, columnar=False)
+    t1 = WorstCaseTopKIndex(elements, ToyPrioritized, seed=3, columnar=False)
+    assert t2._columns is None and t1._columns is None
     predicate = RangePredicate(20.0, 80.0)
     assert t2.query(predicate, 6) == oracle_top_k(elements, predicate, 6)
     assert t1.query(predicate, 6) == oracle_top_k(elements, predicate, 6)
+    assert len(t2._scans) == 0 and len(t1._scans) == 0
+    assert t2.stats.monitored_probes > 0 and t1.stats.monitored_probes > 0
 
 
 def test_columnar_tracks_dynamic_updates():
     elements = make_toy_elements(150, seed=31)
     index = ExpectedTopKIndex(elements, ToyPrioritized, ToyMax, seed=5)
-    assert index._columnar
+    assert index._columns is not None
     current = list(elements)
     rng = random.Random(6)
     for round_no in range(30):
@@ -347,7 +407,7 @@ def test_expected_snapshot_roundtrip_stays_columnar():
     index = ExpectedTopKIndex(elements, ToyPrioritized, ToyMax, seed=7)
     state = decode(encode(index.snapshot_state()))
     restored = ExpectedTopKIndex.restore(state, ToyPrioritized, ToyMax)
-    assert restored._columnar
+    assert restored._columns is not None
     rng = random.Random(8)
     for _ in range(15):
         lo = float(rng.randrange(150))
@@ -363,7 +423,7 @@ def test_worstcase_snapshot_roundtrip_stays_columnar():
     index = WorstCaseTopKIndex(elements, ToyPrioritized, seed=9)
     state = decode(encode(index.snapshot_state()))
     restored = WorstCaseTopKIndex.restore(state, ToyPrioritized)
-    assert restored._columnar
+    assert restored._columns is not None
     rng = random.Random(10)
     for _ in range(15):
         lo = float(rng.randrange(150))

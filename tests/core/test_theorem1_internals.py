@@ -29,9 +29,12 @@ def deep_params():
 
 class TestHierarchyDepth:
     def test_multi_level_recursion_is_exercised(self):
+        # columnar=False: a columnar index answers from D's columns and
+        # one ground probe, so only the structure path descends.
         elements = make_toy_elements(2000, 1)
         index = WorstCaseTopKIndex(
-            elements, ToyPrioritized, params=deep_params(), B=2, seed=2
+            elements, ToyPrioritized, params=deep_params(), B=2, seed=2,
+            columnar=False,
         )
         assert index._small.hierarchy.depth >= 3
         # Broad queries force the recursion through the deeper levels.

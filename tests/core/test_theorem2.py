@@ -97,7 +97,7 @@ class TestFailureInjection:
         """A max structure that never answers forces every round to fail;
         escalation must end in the exact full scan.  Pin ``columnar=False``
         so queries exercise the ladder rounds rather than the columnar
-        first-k shortcut (which never consults the max structure)."""
+        answer (which never consults the max structure)."""
         elements, index = build(n=400, max_factory=BrokenMax, columnar=False)
         rng = random.Random(3)
         for _ in range(20):
@@ -108,13 +108,16 @@ class TestFailureInjection:
 
     def test_lying_max_still_exact(self):
         """A max structure probing the *minimum* gives thresholds that
-        overshoot the cost monitor; rounds must detect and escalate."""
-        elements, index = build(n=400, max_factory=LyingMax)
+        overshoot the cost monitor; rounds must detect and escalate.
+        Pin ``columnar=False``, as above: the columnar answer never
+        consults the max structure, so only the rounds can be lied to."""
+        elements, index = build(n=400, max_factory=LyingMax, columnar=False)
         rng = random.Random(4)
         for _ in range(20):
             p = random_predicate(rng, 400)
             k = rng.choice([1, 5, 40])
             assert index.query(p, k) == oracle_top_k(elements, p, k)
+        assert index.stats.threshold_fetches > 0
 
 
 class TestUpdates:

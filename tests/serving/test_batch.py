@@ -103,8 +103,10 @@ def test_batch_zero_k_members():
 
 
 def test_theorem1_memo_window_shares_probes():
+    # columnar=False: the window memoizes the core-set descent; a
+    # columnar index keeps live scans across windows instead.
     elements = make_toy_elements(80, seed=9)
-    index = WorstCaseTopKIndex(elements, ToyPrioritized, seed=1)
+    index = WorstCaseTopKIndex(elements, ToyPrioritized, seed=1, columnar=False)
     p, q = RangePredicate(0, 600), RangePredicate(100, 500)
     index.stats.reset()
     with index.batched():

@@ -67,6 +67,8 @@ class TestExactness:
                 assert idx.query(predicate, k) == oracle_top_k(
                     elements, predicate, k
                 ), (seed, num_shards, strategy, predicate, k)
+                # Each contacted shard is probed exactly once, for top-k.
+                assert idx.stats.shard_probes == idx.stats.shards_contacted
 
     def test_trace_accounting_is_conserved(self):
         elements = make_uniform_elements(64, seed=9)
@@ -78,8 +80,8 @@ class TestExactness:
         # Every mapped shard per query is contacted, pruned, or empty.
         assert s.shards_contacted + s.shards_pruned + s.shards_empty == s.shard_slots
         assert s.max_probes == s.shard_slots
-        assert s.shard_probes >= s.shards_contacted
-        assert s.escalations == s.shard_probes - s.shards_contacted
+        assert s.shard_probes == s.shards_contacted
+        assert s.escalations == 0
 
     def test_k_zero_returns_empty(self):
         elements = make_uniform_elements(20, seed=1)
