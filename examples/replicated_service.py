@@ -14,9 +14,9 @@ durable index — serve one logical top-k index through
 3. one replica's disk silently rots a sealed block; the anti-entropy
    scrub detects it, resyncs the machine from a clean source, and
    proves bit-for-bit convergence;
-4. the whole cluster rides inside a :class:`ResilientTopKIndex`, so
-   the ladder's health summary reports promotions, hedge wins, scrub
-   repairs, and per-replica lag in one place.
+4. the whole cluster rides inside a :class:`ResilientTopKIndex` as
+   the ladder's primary rung, while the cluster's own stats report
+   promotions, scrub repairs, and per-replica lag.
 
 Run:  python examples/replicated_service.py
 """
@@ -90,10 +90,11 @@ def main() -> None:
     # ------------------------------------------------------------------
     guard = ResilientTopKIndex(cluster, elements=everything)
     guard.query(hot, 5)
-    health = guard.health
+    stats = cluster.stats
     print(
-        f"\nhealth: promotions={health.promotions} "
-        f"scrub_repairs={health.scrub_repairs} replica_lag={health.replica_lag}"
+        f"\nhealth: promotions={stats.promotions} "
+        f"scrub_repairs={stats.scrub_repairs} "
+        f"replica_lag={cluster.replica_lag()}"
     )
 
 

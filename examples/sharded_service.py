@@ -23,8 +23,8 @@ four simulated shard machines by
    from its surviving disk on the spot (snapshot + replayed WAL tail)
    and the answer is still exact;
 5. the whole thing rides behind a :class:`ServingEngine`, whose
-   epoch-aware result cache and parallel fan-out work unchanged, and
-   its health summary reports topology, churn, and pruning efficiency.
+   epoch-aware result cache and parallel fan-out work unchanged; the
+   sharded index's own stats report churn and pruning efficiency.
 
 Run:  python examples/sharded_service.py
 """
@@ -92,7 +92,7 @@ def main() -> None:
     )
 
     # ------------------------------------------------------------------
-    # 5. Serve it: cache + batching + parallel fan-out, health in one place.
+    # 5. Serve it: cache + batching + parallel fan-out.
     # ------------------------------------------------------------------
     with ServingEngine(index, pool_size=2, parallel_threshold=3) as engine:
         requests = [
@@ -102,11 +102,11 @@ def main() -> None:
         answers = engine.serve(requests)
         for (predicate, k), got in zip(requests, answers):
             assert got == top_k_of(listings, predicate, k)
-        health = engine.health
         print(
-            f"served {len(requests)} requests exactly; shards={health.shards}, "
-            f"splits={health.shard_splits}, "
-            f"contact ratio={health.scatter_contact_ratio:.2f}"
+            f"served {len(requests)} requests exactly; "
+            f"shards={index.router.num_shards}, "
+            f"splits={index.stats.splits}, "
+            f"contact ratio={index.stats.contact_ratio:.2f}"
         )
 
 

@@ -274,6 +274,7 @@ class WorstCaseTopKIndex(TopKIndex):
 
     def _init_columns(self, columnar: bool) -> None:
         """Mirror a RAM-resident ``D`` into columns (``None`` otherwise)."""
+        self._columnar = columnar
         self._columns = (
             ground_columns(self._ground, self._elements) if columnar else None
         )
@@ -438,7 +439,7 @@ class WorstCaseTopKIndex(TopKIndex):
                 "K": hierarchy.K,
             }
 
-        return {
+        state = {
             "format": self.SNAPSHOT_FORMAT,
             "version": self.SNAPSHOT_VERSION,
             "elements": list(elements),
@@ -449,6 +450,11 @@ class WorstCaseTopKIndex(TopKIndex):
             "ladder": [hierarchy_state(s.hierarchy) for s in self._ladder],
             "ladder_rates": list(self._ladder_rates),
         }
+        if not self._columnar:
+            # Only the non-default switch is written, so snapshots of a
+            # default build keep their exact record stream.
+            state["columnar"] = False
+        return state
 
     @classmethod
     def restore(
@@ -481,7 +487,7 @@ class WorstCaseTopKIndex(TopKIndex):
         self.applied_lsn = 0
         self._memo = None
         self._ground = factory(elements)
-        self._init_columns(True)
+        self._init_columns(state.get("columnar", True))
         self.f = state["f"]
 
         def hierarchy_from(hstate: dict) -> CoresetHierarchy:

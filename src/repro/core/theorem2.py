@@ -196,7 +196,7 @@ class ExpectedTopKIndex(TopKIndex):
         """
         elements = list(self._elements)
         index_of = {element: i for i, element in enumerate(elements)}
-        return {
+        state = {
             "format": self.SNAPSHOT_FORMAT,
             "version": self.SNAPSHOT_VERSION,
             "elements": elements,
@@ -210,6 +210,11 @@ class ExpectedTopKIndex(TopKIndex):
             "rng_state": self._rng.getstate(),
             "params": asdict(self.params),
         }
+        if not self._columnar:
+            # Only the non-default switch is written, so snapshots of a
+            # default build keep their exact record stream.
+            state["columnar"] = False
+        return state
 
     @classmethod
     def restore(
@@ -253,11 +258,12 @@ class ExpectedTopKIndex(TopKIndex):
         self._weights = {element.weight for element in elements}
         self._built_n = state["built_n"]
         self._ground = prioritized_factory(elements)
-        # Columns are a derived mirror of the element list, not state:
-        # rebuilding them deterministically keeps snapshot formats
-        # unchanged while the restored index answers columnar too.
-        self._columnar = True
-        self._columns = ground_columns(self._ground, elements)
+        # Columns are a derived mirror of the element list: only the
+        # switch is state, and the restored index honours it.
+        self._columnar = state.get("columnar", True)
+        self._columns = (
+            ground_columns(self._ground, elements) if self._columnar else None
+        )
         self._scans = ScanCache()
         self._K = list(state["K"])
         if len(state["samples"]) != len(self._K):

@@ -179,17 +179,14 @@ class DurableTopKIndex(TopKIndex):
     # ------------------------------------------------------------------
     # Replication hooks (shipped tails, deferred apply)
     # ------------------------------------------------------------------
-    def apply_shipped(
-        self, groups: List[List[WALRecord]], apply_now: bool = True
-    ) -> int:
+    def apply_shipped(self, groups: List[List[WALRecord]]) -> int:
         """Splice shipped committed groups onto this replica's own log.
 
         Each group is appended to the local WAL *with the shipped LSNs*
         (records at or below ``last_lsn`` are skipped, so re-shipping is
         idempotent) and committed — the follower's acknowledgement is
-        its own durable commit.  With ``apply_now`` the records are also
-        applied to the in-memory index immediately; otherwise apply is
-        deferred and :meth:`replay_unapplied` (run at promotion, on a
+        its own durable commit.  The in-memory apply is deferred:
+        :meth:`replay_unapplied` (run at promotion, on a
         freshness-bounded read, or before a checkpoint) catches up from
         the durable log.
 
@@ -221,10 +218,6 @@ class DurableTopKIndex(TopKIndex):
                 self.wal.append(record.op, record.element)
             self.commit()
             appended += len(new_records)
-            if apply_now:
-                for record in new_records:
-                    apply_record(self.inner, record)
-                    self._note_applied(record.lsn)
         return appended
 
     def replay_unapplied(self) -> int:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 import zlib
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.resilience.errors import (
@@ -53,91 +53,43 @@ def block_checksum(records: List[object]) -> int:
     return zlib.crc32(stable_repr(records).encode("utf-8", "backslashreplace"))
 
 
-#: IOStats counter fields that subtract in :meth:`IOStats.delta`.
-_IOSTATS_COUNTERS = (
-    "reads",
-    "writes",
-    "cache_hits",
-    "flash_host_writes",
-    "flash_device_writes",
-    "flash_erases",
-    "flash_gc_copies",
-    "flash_gc_stalls",
-    "flash_trims",
-)
-#: Point-in-time gauges that pass through a delta unchanged.
-_IOSTATS_GAUGES = ("flash_max_wear", "flash_mean_wear")
-
-
 @dataclass
 class IOStats:
     """Mutable I/O counters attached to an :class:`EMContext`.
 
     ``reads``/``writes`` count block transfers.  ``cache_hits`` counts
     block accesses served from memory (free in the EM model, tracked for
-    diagnostics only).
-
-    The ``flash_*`` fields stay zero on a plain :class:`Disk`; a
-    :class:`~repro.flash.disk.FlashDisk` bound to the context mirrors
-    its device counters here — logical host writes, physical page
-    programs (host + GC relocations), erases, GC copies/stalls, trims —
-    plus the wear *gauges* (max / mean per-erase-block erase count).
-    Counters subtract in :meth:`delta`; gauges pass through as current
-    values, so a delta's :attr:`write_amplification` is the WA of
-    exactly that window.
+    diagnostics only).  A flash device keeps its own ledger (programs,
+    erases, wear) on the device:
+    :attr:`~repro.flash.disk.FlashDisk.flash_stats`.
     """
 
     reads: int = 0
     writes: int = 0
     cache_hits: int = 0
-    flash_host_writes: int = 0
-    flash_device_writes: int = 0
-    flash_erases: int = 0
-    flash_gc_copies: int = 0
-    flash_gc_stalls: int = 0
-    flash_trims: int = 0
-    flash_max_wear: int = 0
-    flash_mean_wear: float = 0.0
 
     @property
     def total(self) -> int:
         """Total I/Os (reads + writes) — the EM cost measure."""
         return self.reads + self.writes
 
-    @property
-    def write_amplification(self) -> float:
-        """Physical page programs per logical host write (0 off flash)."""
-        if self.flash_host_writes == 0:
-            return 0.0
-        return self.flash_device_writes / self.flash_host_writes
-
     def reset(self) -> None:
         """Zero every counter (used between benchmark phases)."""
-        for name in _IOSTATS_COUNTERS:
-            setattr(self, name, 0)
-        self.flash_max_wear = 0
-        self.flash_mean_wear = 0.0
+        self.reads = 0
+        self.writes = 0
+        self.cache_hits = 0
 
     def snapshot(self) -> "IOStats":
         """Return an independent copy of the current counters."""
-        return IOStats(**{
-            name: getattr(self, name)
-            for name in _IOSTATS_COUNTERS + _IOSTATS_GAUGES
-        })
+        return IOStats(self.reads, self.writes, self.cache_hits)
 
     def delta(self, earlier: "IOStats") -> "IOStats":
-        """Counters accumulated since ``earlier`` was snapshotted.
-
-        Gauges (wear) are point-in-time values and carry the *current*
-        reading rather than a difference.
-        """
-        out = IOStats(**{
-            name: getattr(self, name) - getattr(earlier, name)
-            for name in _IOSTATS_COUNTERS
-        })
-        for name in _IOSTATS_GAUGES:
-            setattr(out, name, getattr(self, name))
-        return out
+        """Counters accumulated since ``earlier`` was snapshotted."""
+        return IOStats(
+            self.reads - earlier.reads,
+            self.writes - earlier.writes,
+            self.cache_hits - earlier.cache_hits,
+        )
 
 
 class Disk:
@@ -275,11 +227,6 @@ class EMContext:
         self.M = M
         self.disk = disk if disk is not None else Disk()
         self.stats = IOStats()
-        # A flash device mirrors its counters (programs, erases, wear)
-        # into whichever context currently drives it — this one, now.
-        bind = getattr(self.disk, "bind_stats", None)
-        if bind is not None:
-            bind(self.stats)
         self.fault_plan: Optional[FaultPlan] = None
         self._frames: "OrderedDict[int, List[object]]" = OrderedDict()
         self._dirty: Dict[int, bool] = {}

@@ -15,19 +15,21 @@ Two additions over the plain disk:
 * :meth:`discard` — the TRIM channel.  A log-structured store calls it
   on dead blocks so GC stops copying garbage; on a plain disk the same
   call just wipes the contents, so callers stay device-agnostic.
-* :meth:`bind_stats` — mirrors the device's counters into the
-  :class:`~repro.em.model.IOStats` of whatever context currently
-  drives it.  The cumulative :class:`~repro.flash.ftl.FlashStats`
-  lives on the device itself and survives reboots (a fresh
-  :class:`~repro.em.model.EMContext` over the same disk re-binds and
-  keeps counting), exactly like a real drive's SMART counters.
+* :attr:`flash_stats` — the device's own ledger
+  (:class:`~repro.flash.ftl.FlashStats`: host writes, page programs,
+  erases, GC copies and stalls, trims), with the wear gauges on
+  ``ftl.max_wear`` / ``ftl.mean_wear``.  It lives on the device and
+  survives reboots (a fresh :class:`~repro.em.model.EMContext` over
+  the same disk keeps adding to it), exactly like a real drive's SMART
+  counters; a context's :class:`~repro.em.model.IOStats` counts only
+  its own block transfers.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.em.model import Disk, IOStats, block_checksum
+from repro.em.model import Disk, block_checksum
 from repro.flash.ftl import FlashConfig, FlashStats, FlashTranslationLayer
 
 
@@ -43,58 +45,11 @@ class FlashDisk(Disk):
         super().__init__(checksums=checksums, label=label)
         self.ftl = FlashTranslationLayer(config)
         self._logical_blocks = 0
-        self._stats: Optional[IOStats] = None
 
-    # ------------------------------------------------------------------
-    # Stats plumbing
-    # ------------------------------------------------------------------
     @property
     def flash_stats(self) -> FlashStats:
         """Cumulative device counters (reboot-surviving)."""
         return self.ftl.stats
-
-    def bind_stats(self, stats: IOStats) -> None:
-        """Mirror device counters into ``stats`` from now on.
-
-        :class:`~repro.em.model.EMContext` calls this on construction,
-        so whichever machine currently owns the disk sees flash traffic
-        in its own I/O accounting; the previous binding (a crashed
-        machine's stats) is simply abandoned with that machine.
-        """
-        self._stats = stats
-        self._refresh_gauges()
-
-    def _mirror(self, before: FlashStats) -> None:
-        stats = self._stats
-        if stats is None:
-            return
-        after = self.ftl.stats
-        stats.flash_host_writes += after.host_writes - before.host_writes
-        stats.flash_device_writes += after.device_writes - before.device_writes
-        stats.flash_erases += after.erases - before.erases
-        stats.flash_gc_copies += after.gc_page_copies - before.gc_page_copies
-        stats.flash_gc_stalls += after.gc_stalls - before.gc_stalls
-        stats.flash_trims += after.trims - before.trims
-        self._refresh_gauges()
-
-    def _refresh_gauges(self) -> None:
-        if self._stats is None:
-            return
-        self._stats.flash_max_wear = self.ftl.max_wear
-        self._stats.flash_mean_wear = self.ftl.mean_wear
-
-    def _snap(self) -> FlashStats:
-        s = self.ftl.stats
-        return FlashStats(
-            host_writes=s.host_writes,
-            device_writes=s.device_writes,
-            erases=s.erases,
-            gc_runs=s.gc_runs,
-            gc_page_copies=s.gc_page_copies,
-            gc_stalls=s.gc_stalls,
-            trims=s.trims,
-            emergency_growths=s.emergency_growths,
-        )
 
     # ------------------------------------------------------------------
     # Disk surface
@@ -116,14 +71,7 @@ class FlashDisk(Disk):
     def raw_write(self, block_id: int, records: List[object]) -> None:
         if block_id >= self._logical_blocks:
             raise IndexError(f"block {block_id} was never allocated")
-        before = self._snap()
-        try:
-            self.ftl.write(block_id, records)
-        finally:
-            # Mirror even when a scheduled mid-GC crash aborts the
-            # program: relocations already performed are real device
-            # work the counters must not lose.
-            self._mirror(before)
+        self.ftl.write(block_id, records)
         if self._checksums_enabled:
             self._checksums[block_id] = block_checksum(records)
 
@@ -137,19 +85,13 @@ class FlashDisk(Disk):
         interrupted program does to the medium.
         """
         keep = max(0, min(keep, len(records)))
-        before = self._snap()
-        try:
-            self.ftl.write(block_id, list(records[:keep]))
-        finally:
-            self._mirror(before)
+        self.ftl.write(block_id, list(records[:keep]))
         if self._checksums_enabled:
             self._checksums[block_id] = block_checksum(list(records))
 
     def discard(self, block_id: int) -> None:
         """TRIM: declare the block dead so GC reclaims it for free."""
-        before = self._snap()
         self.ftl.trim(block_id)
-        self._mirror(before)
         if self._checksums_enabled:
             self._checksums[block_id] = block_checksum([])
 

@@ -93,11 +93,13 @@ class Operator:
         keeps it current across inserts/deletes); with it, verification
         compares against the exact :func:`top_k_of` oracle.  Without
         it, answers are spot-checked structurally.
-    flash_sources / stores:
-        Flash telemetry feeds (``label -> IOStats``) and compaction
-        targets (``label -> DurableTopKIndex``) for the storage rules;
-        a durable backend reachable from the guard or engine is
-        discovered automatically as ``"storage"``.
+    latency_source:
+        End-to-end latency quantiles for the SLO rules (see
+        :class:`TelemetryCollector`).
+
+    A durable backend reachable from the guard or engine is the
+    ``"storage"`` the flash rules watch and ``compact_store`` fixes;
+    the collector discovers it once for both.
     """
 
     def __init__(
@@ -111,13 +113,11 @@ class Operator:
         probes: Sequence[Tuple[Any, int]] = (),
         elements: Optional[List] = None,
         latency_source=None,
-        flash_sources=None,
-        stores=None,
     ) -> None:
         self.policy = policy if policy is not None else OperatorPolicy()
         self.collector = TelemetryCollector(
             guard=guard, cluster=cluster, sharded=sharded, engine=engine,
-            latency_source=latency_source, flash_sources=flash_sources,
+            latency_source=latency_source,
         )
         self.guard = guard
         self.engine = engine
@@ -127,25 +127,11 @@ class Operator:
         self.localizer = FaultLocalizer(
             cluster=self.cluster, sharded=self.sharded
         )
-        if stores is None:
-            # Mirror the collector's discovery: a durable backend
-            # reachable from the guard or engine is the "storage" the
-            # flash detector rules blame (and compact_store fixes).
-            from repro.durability.durable import DurableTopKIndex
-
-            candidates = [
-                guard.primary if guard is not None else None,
-                engine.backend if engine is not None else None,
-            ]
-            durable = next(
-                (b for b in candidates if isinstance(b, DurableTopKIndex)),
-                None,
-            )
-            stores = {"storage": durable} if durable is not None else {}
+        storage = self.collector.storage
         self.planner = MitigationPlanner(
             cluster=self.cluster, sharded=self.sharded, engine=engine,
             fabric=getattr(self.cluster, "fabric", None),
-            stores=stores,
+            stores={"storage": storage} if storage is not None else {},
         )
         self.log = IncidentLog()
         self.probes = list(probes)

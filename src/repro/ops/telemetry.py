@@ -14,17 +14,21 @@ stays deterministic and wall-clock-free, like the EM model it watches.
 
 :class:`TelemetryCollector` adapts whatever subset of the stack exists:
 a :class:`~repro.resilience.guard.ResilientTopKIndex` (query-path
-health via the new :meth:`HealthSummary.delta` hook), a
+health from :meth:`HealthSummary.snapshot`), a
 :class:`~repro.replication.cluster.ReplicaSet`, a
 :class:`~repro.sharding.sharded.ShardedTopKIndex`, and/or a
 :class:`~repro.serving.engine.ServingEngine`.  Backends reachable from
-the guard or engine are discovered automatically.
+the guard or engine — including a durable store, whose flash device
+feeds the storage fields — are discovered automatically.  Each counter
+is read from the one layer that keeps it; the collector keeps only the
+previous sample's totals, so a delta is ``current - previous`` (or
+``current`` after a reset, see :func:`_counter_delta`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 
 def _counter_delta(current: float, previous: float) -> float:
@@ -32,15 +36,21 @@ def _counter_delta(current: float, previous: float) -> float:
     return current - previous if current >= previous else current
 
 
-#: Flash counters mirrored from :class:`~repro.em.model.IOStats` into
-#: the sample as per-tick deltas (the wear fields are gauges).
-_FLASH_COUNTERS = (
-    "flash_host_writes",
-    "flash_device_writes",
-    "flash_erases",
-    "flash_gc_copies",
-    "flash_gc_stalls",
-    "flash_trims",
+#: Query-path counters read from the guard's health summary.
+_GUARD_COUNTERS = (
+    "queries",
+    "degraded_queries",
+    "retries",
+    "transient_faults",
+    "corrupt_blocks",
+    "contract_violations",
+    "budget_exhaustions",
+    "rung_unavailable",
+    "spot_check_failures",
+)
+#: Per-machine fault-plan counters, one :class:`MachineDelta` field each.
+_MACHINE_COUNTERS = (
+    "faults", "corruptions", "crashes", "reads", "writes", "latency_units",
 )
 
 
@@ -128,18 +138,19 @@ class TelemetrySample:
     flash_max_wear: int = 0
     flash_mean_wear: float = 0.0
 
-    @property
-    def total_machine_faults(self) -> int:
-        return sum(m.faults for m in self.machines.values())
-
 
 class TelemetryCollector:
     """Turn live stack objects into a :class:`TelemetrySample` stream.
 
     Pass whichever of ``guard`` / ``cluster`` / ``sharded`` / ``engine``
-    the deployment has; a cluster or sharded index reachable as the
-    guard's primary (or the engine's backend) is discovered
-    automatically, so ``TelemetryCollector(guard=g)`` usually suffices.
+    the deployment has; a cluster, sharded index or durable store
+    reachable as the guard's primary (or the engine's backend) is
+    discovered automatically, so ``TelemetryCollector(guard=g)`` usually
+    suffices.  Every counter is read from the layer that keeps it —
+    ``guard.health``, ``cluster.stats``, ``fabric.stats``,
+    ``sharded.stats``, ``engine.stats``, the fault plans' stats and the
+    storage's flash device — and turned into a per-tick delta against
+    the previous sample's totals.
     """
 
     def __init__(
@@ -149,9 +160,9 @@ class TelemetryCollector:
         sharded=None,
         engine=None,
         latency_source=None,
-        flash_sources=None,
     ) -> None:
         from repro.durability.durable import DurableTopKIndex
+        from repro.flash.disk import FlashDisk
         from repro.replication.cluster import ReplicaSet
         from repro.sharding.sharded import ShardedTopKIndex
 
@@ -169,38 +180,22 @@ class TelemetryCollector:
             backends.append(guard.primary)
         if engine is not None:
             backends.append(engine.backend)
-        if cluster is None:
-            cluster = next(
-                (b for b in backends if isinstance(b, ReplicaSet)), None
-            )
-        if sharded is None:
-            sharded = next(
-                (b for b in backends if isinstance(b, ShardedTopKIndex)), None
-            )
-        self.cluster = cluster
-        self.sharded = sharded
-        #: Mapping ``label -> IOStats`` of flash-backed durability
-        #: contexts to watch.  When not given, a
-        #: :class:`~repro.durability.durable.DurableTopKIndex` reachable
-        #: as the guard's primary (or the engine's backend) contributes
-        #: its durability context as ``"storage"`` automatically.  The
-        #: fields stay zero for plain-disk stores, so wiring one is
-        #: always safe.
-        sources = dict(flash_sources) if flash_sources else {}
-        if not sources:
-            durable = next(
-                (b for b in backends if isinstance(b, DurableTopKIndex)),
-                None,
-            )
-            if durable is not None:
-                sources["storage"] = durable.durability_io
-        self.flash_sources = sources
-        self._prev_flash: Dict[str, int] = {}
-        self._prev_health: Optional[Dict[str, Any]] = None
-        self._prev_machines: Dict[str, Tuple[int, int, int, int, int, int]] = {}
-        self._prev_cluster: Dict[str, int] = {}
-        self._prev_sharding: Dict[str, int] = {}
-        self._prev_serving: Dict[str, int] = {}
+
+        def discover(kind):
+            return next((b for b in backends if isinstance(b, kind)), None)
+
+        self.cluster = cluster if cluster is not None else discover(ReplicaSet)
+        self.sharded = (
+            sharded if sharded is not None else discover(ShardedTopKIndex)
+        )
+        #: The :class:`~repro.durability.durable.DurableTopKIndex` the
+        #: flash rules call ``"storage"`` (and ``compact_store`` fixes);
+        #: its device ledger feeds the ``flash_*`` fields when the
+        #: store sits on a :class:`~repro.flash.disk.FlashDisk`.
+        self.storage = discover(DurableTopKIndex)
+        disk = self.storage.store.disk if self.storage is not None else None
+        self._flash = disk if isinstance(disk, FlashDisk) else None
+        self._prev: Dict[Any, int] = {}
 
     # ------------------------------------------------------------------
     def _machine_plans(self) -> List[Tuple[str, bool, object]]:
@@ -228,88 +223,43 @@ class TelemetryCollector:
                 add(replica.name, replica.alive, replica.plan)
         return out
 
-    def _collect_machines(self) -> Dict[str, MachineDelta]:
-        machines: Dict[str, MachineDelta] = {}
-        current_totals: Dict[str, Tuple[int, int, int, int, int, int]] = {}
-        for label, alive, plan in self._machine_plans():
-            stats = plan.stats
-            totals = (
-                stats.read_faults + stats.write_faults,
-                stats.corruptions,
-                stats.crashes,
-                stats.reads_seen,
-                stats.writes_seen,
-                stats.latency_units,
-            )
-            prev = self._prev_machines.get(label, (0, 0, 0, 0, 0, 0))
-            delta = tuple(
-                int(_counter_delta(cur, before))
-                for cur, before in zip(totals, prev)
-            )
-            machines[label] = MachineDelta(
-                machine=label,
-                alive=alive,
-                faults=delta[0],
-                corruptions=delta[1],
-                crashes=delta[2],
-                reads=delta[3],
-                writes=delta[4],
-                latency_units=delta[5],
-            )
-            current_totals[label] = totals
-        self._prev_machines = current_totals
-        return machines
-
-    @staticmethod
-    def _delta_fields(
-        current: Dict[str, int], previous: Dict[str, int]
-    ) -> Dict[str, int]:
-        return {
-            name: int(_counter_delta(value, previous.get(name, 0)))
-            for name, value in current.items()
-        }
-
     # ------------------------------------------------------------------
     def collect(self, tick: int) -> TelemetrySample:
         """One tick's sample; the collector keeps the previous totals."""
+        # Cumulative totals read from their owners this tick, keyed by
+        # sample field (or ``(machine, field)``); deltas come after.
+        totals: Dict[Any, int] = {}
         fields: Dict[str, Any] = {"tick": tick}
 
         if self.guard is not None:
-            health = self.guard.health.delta(self._prev_health)
-            self._prev_health = self.guard.health.snapshot()
-            for name in (
-                "queries",
-                "degraded_queries",
-                "retries",
-                "transient_faults",
-                "corrupt_blocks",
-                "contract_violations",
-                "budget_exhaustions",
-                "rung_unavailable",
-                "spot_check_failures",
-            ):
-                fields[name] = int(health.get(name, 0))
+            health = self.guard.health.snapshot()
+            for name in _GUARD_COUNTERS:
+                totals[name] = health[name]
 
-        fields["machines"] = self._collect_machines()
+        alive: Dict[str, bool] = {}
+        for label, is_alive, plan in self._machine_plans():
+            stats = plan.stats
+            alive[label] = is_alive
+            totals[label, "faults"] = stats.read_faults + stats.write_faults
+            totals[label, "corruptions"] = stats.corruptions
+            totals[label, "crashes"] = stats.crashes
+            totals[label, "reads"] = stats.reads_seen
+            totals[label, "writes"] = stats.writes_seen
+            totals[label, "latency_units"] = stats.latency_units
 
         if self.cluster is not None:
             cluster = self.cluster
             stats = cluster.stats
             fabric = getattr(cluster, "fabric", None)
-            current = {
-                "promotions": stats.promotions,
-                "follower_deaths": stats.follower_deaths,
-                "primary_crashes": stats.primary_crashes,
-                "ship_failures": stats.ship_failures,
-                "scrub_repairs": stats.scrub_repairs,
-            }
+            totals["promotions"] = stats.promotions
+            totals["follower_deaths"] = stats.follower_deaths
+            totals["primary_crashes"] = stats.primary_crashes
+            totals["ship_failures"] = stats.ship_failures
+            totals["scrub_repairs"] = stats.scrub_repairs
             if fabric is not None:
-                current["ship_timeouts"] = stats.ship_timeouts
-                current["fenced_rejects"] = fabric.stats.fenced_rejects
-                current["lease_expirations"] = fabric.stats.lease_expirations
-            fields.update(self._delta_fields(current, self._prev_cluster))
-            self._prev_cluster = current
-            if fabric is not None:
+                totals["ship_timeouts"] = stats.ship_timeouts
+                totals["fenced_rejects"] = fabric.stats.fenced_rejects
+                totals["lease_expirations"] = fabric.stats.lease_expirations
                 fields["partitions_active"] = fabric.active_partitions()
             fields["primary"] = cluster.replicas[cluster.primary_index].name
             fields["replicas_alive"] = {
@@ -324,14 +274,10 @@ class TelemetryCollector:
         if self.sharded is not None:
             sharded = self.sharded
             stats = sharded.stats
-            current = {
-                "shard_losses": stats.shard_losses,
-                "shard_recoveries": stats.shard_recoveries,
-                "partial_answers": stats.partial_answers,
-                "stale_map_retries": stats.stale_map_retries,
-            }
-            fields.update(self._delta_fields(current, self._prev_sharding))
-            self._prev_sharding = current
+            totals["shard_losses"] = stats.shard_losses
+            totals["shard_recoveries"] = stats.shard_recoveries
+            totals["partial_answers"] = stats.partial_answers
+            totals["stale_map_retries"] = stats.stale_map_retries
             fields["shards_alive"] = {
                 shard.name: shard.alive
                 for shard in sharded.router.shards.values()
@@ -341,43 +287,51 @@ class TelemetryCollector:
 
         if self.engine is not None:
             engine = self.engine
-            current = {
-                "served_queries": engine.stats.queries,
-                "load_sheds": engine.stats.load_sheds,
-                "queue_sheds": engine.stats.queue_sheds,
-                "deadline_sheds": engine.stats.deadline_sheds,
-            }
-            fields.update(self._delta_fields(current, self._prev_serving))
-            self._prev_serving = current
+            totals["served_queries"] = engine.stats.queries
+            totals["load_sheds"] = engine.stats.load_sheds
+            totals["queue_sheds"] = engine.stats.queue_sheds
+            totals["deadline_sheds"] = engine.stats.deadline_sheds
             fields["queue_depth"] = engine.pending
             fields["serving_avg_latency"] = engine.stats.avg_latency_seconds
             brownout = getattr(engine, "brownout", None)
             if brownout is not None:
                 fields["brownout_level"] = brownout.level
 
-        if self.flash_sources:
-            totals = {name: 0 for name in _FLASH_COUNTERS}
-            max_wear = 0
-            mean_wears: List[float] = []
-            for label in sorted(self.flash_sources):
-                stats = self.flash_sources[label]
-                for name in _FLASH_COUNTERS:
-                    totals[name] += int(getattr(stats, name))
-                max_wear = max(max_wear, stats.flash_max_wear)
-                mean_wears.append(stats.flash_mean_wear)
-            delta = self._delta_fields(totals, self._prev_flash)
-            self._prev_flash = totals
-            fields.update(delta)
-            host = delta["flash_host_writes"]
+        disk = self._flash
+        if disk is not None:
+            ledger = disk.flash_stats
+            totals["flash_host_writes"] = ledger.host_writes
+            totals["flash_device_writes"] = ledger.device_writes
+            totals["flash_erases"] = ledger.erases
+            totals["flash_gc_copies"] = ledger.gc_page_copies
+            totals["flash_gc_stalls"] = ledger.gc_stalls
+            totals["flash_trims"] = ledger.trims
+            fields["flash_max_wear"] = disk.ftl.max_wear
+            fields["flash_mean_wear"] = disk.ftl.mean_wear
+
+        deltas = {
+            key: int(_counter_delta(value, self._prev.get(key, 0)))
+            for key, value in totals.items()
+        }
+        self._prev = totals
+        fields.update(
+            (key, value) for key, value in deltas.items() if isinstance(key, str)
+        )
+        fields["machines"] = {
+            label: MachineDelta(
+                machine=label,
+                alive=is_alive,
+                **{name: deltas[label, name] for name in _MACHINE_COUNTERS},
+            )
+            for label, is_alive in alive.items()
+        }
+        if disk is not None:
+            host = deltas["flash_host_writes"]
             # WA over exactly this tick's window — the detector sees
             # the *current* churn, not a lifetime average diluted by
             # a long healthy past.
             fields["storage_write_amp"] = (
-                delta["flash_device_writes"] / host if host > 0 else 0.0
-            )
-            fields["flash_max_wear"] = max_wear
-            fields["flash_mean_wear"] = (
-                sum(mean_wears) / len(mean_wears) if mean_wears else 0.0
+                deltas["flash_device_writes"] / host if host > 0 else 0.0
             )
 
         if self.latency_source is not None:

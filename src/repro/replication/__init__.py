@@ -17,14 +17,13 @@ replica set of N independent simulated machines:
 A :class:`ReplicaSet` is itself a
 :class:`~repro.core.interfaces.TopKIndex`, so it plugs into
 :class:`~repro.resilience.guard.ResilientTopKIndex` as a primary
-backend — replication health (lag, promotions, hedge wins, scrub
-repairs) then surfaces through the guard's health summary.
+backend.  Replication health stays on the set: promotions, hedge wins
+and scrub repairs in ``cluster.stats``, per-replica lag from
+``cluster.replica_lag()``.
 """
 
 from repro.replication.antientropy import AntiEntropyScrubber, ScrubReport
 from repro.replication.cluster import (
-    APPLY_EAGER,
-    APPLY_LAZY,
     READ_HEDGED,
     READ_PRIMARY,
     READ_QUORUM,
@@ -44,8 +43,6 @@ __all__ = [
     "READ_PRIMARY",
     "READ_QUORUM",
     "READ_HEDGED",
-    "APPLY_LAZY",
-    "APPLY_EAGER",
     "FailoverController",
     "FailoverPolicy",
     "Replica",

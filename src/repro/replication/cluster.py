@@ -13,9 +13,9 @@ index — coordinated by three mechanisms:
   is its *own durable commit*, so any record the set ever acknowledged
   is durable on every follower that acked it — promotion by highest
   durable LSN therefore never loses an acknowledged write.  Followers
-  apply **lazily** by default: records are durable immediately but
-  folded into the in-memory index only when a freshness-bounded read,
-  a checkpoint, or a promotion demands it;
+  apply **lazily**: records are durable immediately but folded into
+  the in-memory index only when a freshness-bounded read, a
+  checkpoint, or a promotion demands it;
 * **deterministic failover** — a :class:`SimulatedCrash` on the
   primary (or a condemned fault streak, per
   :class:`~repro.replication.failover.FailoverPolicy`) triggers
@@ -102,9 +102,6 @@ READ_QUORUM = "quorum"
 READ_HEDGED = "hedged"
 _READ_MODES = (READ_PRIMARY, READ_QUORUM, READ_HEDGED)
 
-APPLY_LAZY = "lazy"
-APPLY_EAGER = "eager"
-
 
 class _StaleRead(ReplicaUnavailable):
     """Internal: a follower could not reach the freshness bound."""
@@ -165,11 +162,6 @@ class ReplicaSet(TopKIndex):
         Cluster shape; plans default to disarmed per-machine plans.
     B / M / commit_interval:
         Per-machine durable store parameters.
-    apply_mode:
-        ``"lazy"`` (default): followers defer the in-memory apply until
-        a read, checkpoint, or promotion needs it — the mode in which
-        failover genuinely replays the committed-but-unapplied tail.
-        ``"eager"``: followers apply at ship time.
     read_mode / max_staleness:
         Default read mode and the per-replica staleness bound (in LSNs
         behind the primary's applied LSN) a serving replica may carry.
@@ -192,7 +184,6 @@ class ReplicaSet(TopKIndex):
         B: int = 16,
         M: Optional[int] = None,
         commit_interval: int = 1,
-        apply_mode: str = APPLY_LAZY,
         read_mode: str = READ_QUORUM,
         max_staleness: int = 0,
         failover_policy: Optional[FailoverPolicy] = None,
@@ -205,8 +196,6 @@ class ReplicaSet(TopKIndex):
             raise InvalidConfiguration(
                 f"num_replicas must be >= 1, got {num_replicas}"
             )
-        if apply_mode not in (APPLY_LAZY, APPLY_EAGER):
-            raise InvalidConfiguration(f"unknown apply_mode {apply_mode!r}")
         if read_mode not in _READ_MODES:
             raise InvalidConfiguration(f"unknown read_mode {read_mode!r}")
         if max_staleness < 0:
@@ -232,7 +221,6 @@ class ReplicaSet(TopKIndex):
         self.B = B
         self.M = M
         self.commit_interval = commit_interval
-        self.apply_mode = apply_mode
         self.read_mode = read_mode
         self.max_staleness = max_staleness
         elements = list(elements)
@@ -351,9 +339,7 @@ class ReplicaSet(TopKIndex):
         if self._fenced:
             replica.fence_epoch = max(replica.fence_epoch, message.epoch)
         if message.kind == MSG_WAL_SHIP:
-            appended = replica.durable.apply_shipped(
-                message.payload, apply_now=self.apply_mode == APPLY_EAGER
-            )
+            appended = replica.durable.apply_shipped(message.payload)
             if appended:
                 replica.log_epoch = max(replica.log_epoch, message.epoch)
                 if message.epoch < self.commit_epoch:
@@ -1314,6 +1300,4 @@ __all__ = [
     "READ_PRIMARY",
     "READ_QUORUM",
     "READ_HEDGED",
-    "APPLY_LAZY",
-    "APPLY_EAGER",
 ]

@@ -219,35 +219,24 @@ class HealthReport:
         """Whether the answer came from anything but the primary rung."""
         return self.degradation_level > 0
 
-    @property
-    def faults_seen(self) -> int:
-        return self.transient_faults + self.contract_violations + self.budget_exhaustions
-
 
 @dataclass
 class HealthSummary:
     """Aggregate health across every query a guard has served.
 
-    Besides per-query reports, the summary also aggregates *crash
-    recoveries*: a guard built over recovered
-    :class:`~repro.durability.durable.DurableTopKIndex` backends
-    records how many of them came back from a crash and how many WAL
-    records their recovery replayed.
+    Every field is counted by the guard itself: the per-query
+    :class:`HealthReport` folds, plus the *crash recoveries* of the
+    :class:`~repro.durability.durable.DurableTopKIndex` backends it was
+    built over (how many came back from a crash and how many WAL
+    records their recovery replayed).  Counters of the layers below
+    stay with their owners — ``cluster.stats``, ``fabric.stats``,
+    ``sharded.stats``, ``engine.stats``, a flash disk's
+    ``flash_stats`` — and :class:`~repro.ops.telemetry.TelemetryCollector`
+    reads each one there.
 
-    A guard whose primary is a
-    :class:`~repro.replication.cluster.ReplicaSet` additionally mirrors
-    the cluster's replication health after every query: primary
-    promotions, hedge wins, anti-entropy scrub repairs, and the current
-    per-replica applied-LSN lag — operators read one summary for the
-    whole ladder, machines included.
-
-    All mutators take an internal lock: a summary is shared between the
-    guard's query path and :class:`~repro.serving.engine.ServingEngine`
-    parallel replica dispatch, whose worker threads mirror serving
-    stats concurrently (the same race
-    :class:`~repro.sharding.sharded.ShardingStats` closed with its
-    ``stats_lock``).  :meth:`snapshot` and :meth:`delta` give the ops
-    control plane a consistent periodic time series over the counters.
+    All mutators take an internal lock: a guard may be queried from
+    several threads while the ops control plane reads its periodic
+    time series through :meth:`snapshot`.
     """
 
     queries: int = 0
@@ -265,43 +254,6 @@ class HealthSummary:
     backoff_units: float = 0.0
     recoveries: int = 0
     wal_records_replayed: int = 0
-    promotions: int = 0
-    hedge_wins: int = 0
-    scrub_repairs: int = 0
-    replica_lag: Dict[str, int] = field(default_factory=dict)
-    partitions_active: int = 0
-    fenced_rejects: int = 0
-    lease_expirations: int = 0
-    served_queries: int = 0
-    served_batches: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_hit_rate: float = 0.0
-    load_sheds: int = 0
-    queue_sheds: int = 0
-    deadline_sheds: int = 0
-    brownout_level: int = 0
-    brownout_escalations: int = 0
-    reduced_k_answers: int = 0
-    partial_served: int = 0
-    parallel_batches: int = 0
-    dispatch_failovers: int = 0
-    serving_qps: float = 0.0
-    serving_avg_latency: float = 0.0
-    shards: int = 0
-    shard_splits: int = 0
-    shard_merges: int = 0
-    shard_losses: int = 0
-    shard_recoveries: int = 0
-    partial_answers: int = 0
-    stale_map_retries: int = 0
-    scatter_contact_ratio: float = 0.0
-    shard_sizes: Dict[str, int] = field(default_factory=dict)
-    flash_write_amp: float = 0.0
-    flash_max_wear: int = 0
-    flash_mean_wear: float = 0.0
-    flash_erases: int = 0
-    flash_gc_stalls: int = 0
 
     def __post_init__(self) -> None:
         # Deliberately not a dataclass field: asdict()/fields() stay
@@ -314,95 +266,6 @@ class HealthSummary:
         with self._lock:
             self.recoveries += 1
             self.wal_records_replayed += result.wal_records_replayed
-
-    def record_replication(self, cluster) -> None:
-        """Mirror a :class:`ReplicaSet`'s live health into the summary.
-
-        The cluster's counters are already cumulative, so this is an
-        overwrite, not an accumulation — call after each query (the
-        guard does) to keep the mirror current.
-        """
-        stats = cluster.stats
-        fabric = getattr(cluster, "fabric", None)
-        with self._lock:
-            self.promotions = stats.promotions
-            self.hedge_wins = stats.hedge_wins
-            self.scrub_repairs = stats.scrub_repairs
-            self.replica_lag = cluster.replica_lag()
-            if fabric is not None:
-                # The network's health rides the same mirror: active
-                # partition windows are a gauge, the rest cumulative.
-                self.partitions_active = fabric.active_partitions()
-                self.fenced_rejects = fabric.stats.fenced_rejects
-                self.lease_expirations = fabric.stats.lease_expirations
-
-    def record_serving(self, engine) -> None:
-        """Mirror a :class:`~repro.serving.engine.ServingEngine`'s health.
-
-        Same overwrite-not-accumulate contract as
-        :meth:`record_replication`: the engine's counters are
-        cumulative, and the engine calls this after every batch.
-        """
-        stats = engine.stats
-        cache = engine.cache.stats
-        brownout = getattr(engine, "brownout", None)
-        with self._lock:
-            self.served_queries = stats.queries
-            self.served_batches = stats.batches
-            self.cache_hits = cache.hits
-            self.cache_misses = cache.misses
-            self.cache_hit_rate = cache.hit_rate
-            self.load_sheds = stats.load_sheds
-            self.queue_sheds = stats.queue_sheds
-            self.deadline_sheds = stats.deadline_sheds
-            self.reduced_k_answers = stats.reduced_k_answers
-            self.partial_served = stats.partial_served
-            if brownout is not None:
-                self.brownout_level = brownout.level
-                self.brownout_escalations = brownout.stats.escalations
-            self.parallel_batches = stats.parallel_batches
-            self.dispatch_failovers = stats.dispatch_failovers
-            self.serving_qps = stats.qps
-            self.serving_avg_latency = stats.avg_latency_seconds
-
-    def record_sharding(self, sharded) -> None:
-        """Mirror a :class:`ShardedTopKIndex`'s live health.
-
-        Same overwrite-not-accumulate contract as
-        :meth:`record_replication`: the sharded index's counters are
-        cumulative, so the latest call reflects the current truth —
-        topology (shard count and per-shard sizes feed rebalancing
-        decisions), churn (splits, merges, losses, recoveries), and the
-        scatter-gather pruning efficiency (mean fraction of mapped
-        shards a query actually contacted).
-        """
-        stats = sharded.stats
-        with self._lock:
-            self.shards = sharded.router.num_shards
-            self.shard_splits = stats.splits
-            self.shard_merges = stats.merges
-            self.shard_losses = stats.shard_losses
-            self.shard_recoveries = stats.shard_recoveries
-            self.partial_answers = stats.partial_answers
-            self.stale_map_retries = stats.stale_map_retries
-            self.scatter_contact_ratio = stats.contact_ratio
-            self.shard_sizes = sharded.router.shard_sizes()
-
-    def record_flash(self, io_stats) -> None:
-        """Mirror a flash-backed store's wear and write-amplification.
-
-        ``io_stats`` is the durability context's
-        :class:`~repro.em.model.IOStats`; on a plain (non-flash) disk
-        its ``flash_*`` fields stay zero and the mirror is a no-op in
-        effect.  Same overwrite-not-accumulate contract as
-        :meth:`record_replication`.
-        """
-        with self._lock:
-            self.flash_write_amp = io_stats.write_amplification
-            self.flash_max_wear = io_stats.flash_max_wear
-            self.flash_mean_wear = io_stats.flash_mean_wear
-            self.flash_erases = io_stats.flash_erases
-            self.flash_gc_stalls = io_stats.flash_gc_stalls
 
     def record(self, report: HealthReport) -> None:
         with self._lock:
@@ -427,44 +290,18 @@ class HealthSummary:
                     continue  # the lock itself, and any future internals
                 setattr(self, name, type(value)())
 
-    # ------------------------------------------------------------------
-    # Periodic observation (the ops control plane's tick hooks)
-    # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
         """A consistent point-in-time copy of every public field.
 
-        Scalars are copied by value and dict-valued gauges shallow-
-        copied under the lock, so a snapshot taken mid-dispatch never
-        mixes counters from two different instants.
+        Taken under the lock, so a snapshot taken mid-query never mixes
+        counters from two different instants.
         """
         with self._lock:
-            out: Dict[str, Any] = {}
-            for name, value in vars(self).items():
-                if name.startswith("_"):
-                    continue
-                out[name] = dict(value) if isinstance(value, dict) else value
-            return out
-
-    def delta(self, previous: Optional[Dict[str, Any]]) -> Dict[str, Any]:
-        """Snapshot minus ``previous``: one tick of the health time series.
-
-        Numeric fields become differences (a counter that *shrank* —
-        a reset between ticks — contributes its current value, never a
-        negative delta); dict-valued and string gauges pass through as
-        current values.  Returns the current :meth:`snapshot` when
-        ``previous`` is ``None``, so the first tick is usable as-is.
-        """
-        current = self.snapshot()
-        if previous is None:
-            return current
-        out: Dict[str, Any] = {}
-        for name, value in current.items():
-            before = previous.get(name)
-            if isinstance(value, (int, float)) and isinstance(before, (int, float)):
-                out[name] = value - before if value >= before else value
-            else:
-                out[name] = value
-        return out
+            return {
+                name: value
+                for name, value in vars(self).items()
+                if not name.startswith("_")
+            }
 
 
 class ResilientTopKIndex(TopKIndex):
@@ -526,31 +363,10 @@ class ResilientTopKIndex(TopKIndex):
         # Backends that came back from a crash surface their recovery in
         # the aggregate health, so operators see it where they already look.
         from repro.durability.durable import DurableTopKIndex
-        from repro.replication.cluster import ReplicaSet
 
         for backend in (primary, *fallbacks):
             if isinstance(backend, DurableTopKIndex) and backend.recovery is not None:
                 self.health.record_recovery(backend.recovery)
-        # A durable backend's device health (flash wear / write amp)
-        # rides the same summary; zeros on a plain disk.
-        self._durable_backend = next(
-            (
-                backend
-                for backend in (primary, *fallbacks)
-                if isinstance(backend, DurableTopKIndex)
-            ),
-            None,
-        )
-        if self._durable_backend is not None:
-            self.health.record_flash(self._durable_backend.durability_io)
-        self._replica_set = primary if isinstance(primary, ReplicaSet) else None
-        if self._replica_set is not None:
-            self.health.record_replication(self._replica_set)
-        from repro.sharding.sharded import ShardedTopKIndex
-
-        self._sharded = primary if isinstance(primary, ShardedTopKIndex) else None
-        if self._sharded is not None:
-            self.health.record_sharding(self._sharded)
 
     def _backend_fn(
         self, backend: TopKIndex
@@ -621,12 +437,6 @@ class ResilientTopKIndex(TopKIndex):
             if io_before is not None:
                 report.io_total = self.ctx.stats.delta(io_before).total
             self.health.record(report)
-            if self._replica_set is not None:
-                self.health.record_replication(self._replica_set)
-            if self._sharded is not None:
-                self.health.record_sharding(self._sharded)
-            if self._durable_backend is not None:
-                self.health.record_flash(self._durable_backend.durability_io)
             self.last_report = report
             if report.degraded and self.policy.raise_on_degraded:
                 raise DegradedAnswer(

@@ -18,8 +18,8 @@ the per-query reductions cannot optimise:
 
 The engine is itself a :class:`~repro.core.interfaces.TopKIndex`, so
 it stacks under a :class:`~repro.resilience.guard.ResilientTopKIndex`
-or serves directly; its metrics (QPS, latency, hit rate, sheds) mirror
-into a :class:`~repro.resilience.guard.HealthSummary`.
+or serves directly; its metrics (QPS, latency, sheds) live in
+``engine.stats``, the hit rate in ``engine.cache.stats``.
 """
 
 from repro.serving.batch import (

@@ -31,9 +31,8 @@ Escalation: the controller observes the queue depth at every drain;
 observations climbs one rung (and resets the streak).  De-escalation
 is symmetric and conservative: ``queue_low`` or fewer for
 ``recover_drains`` consecutive observations steps one rung down.  Every
-transition is recorded (`BrownoutStats`) and mirrored into
-:class:`~repro.resilience.guard.HealthSummary`, so operators see the
-ladder position the same place they see sheds and latency.
+transition is recorded in :class:`BrownoutStats`, and the ops plane
+reads the ladder position from :attr:`BrownoutController.level`.
 
 The controller is deterministic and wall-clock-free: it reacts only to
 the queue-depth sequence it is shown.

@@ -40,12 +40,13 @@ partial sharded answers), trading flagged answer quality for capacity
 before any shedding is needed; every truncated or potentially-partial
 answer is flagged in :attr:`last_drain_meta`.
 
-Metrics (QPS, per-query latency, hit rate, sheds, parallel batches,
-brownout rung) are kept in :class:`ServingStats` and mirrored into the
-engine's :class:`~repro.resilience.guard.HealthSummary` after every
-batch, so operators read one summary for cache, batching, dispatch,
-and (when the backend is a guarded replica set) replication health
-alike.
+Metrics (QPS, per-query latency, sheds, parallel batches) are kept
+once, in :class:`ServingStats` (``engine.stats``); the hit rate lives
+in the cache's own stats (``engine.cache.stats``) and the brownout rung
+on the controller (``engine.brownout``).  The backend's counters stay
+on the backend (``cluster.stats``, ``sharded.stats``), and
+:class:`~repro.ops.telemetry.TelemetryCollector` reads each from its
+owner.
 
 Concurrency contract: one coordinator thread drains; :meth:`submit`
 may be called from any number of client threads concurrently (the
@@ -88,7 +89,6 @@ from repro.resilience.errors import (
     SimulatedCrash,
     TransientIOError,
 )
-from repro.resilience.guard import HealthSummary
 
 
 @dataclass
@@ -127,10 +127,6 @@ class ServingStats:
     def lock(self) -> threading.Lock:
         """The mutation lock; every ``stats.x += 1`` site holds it."""
         return self._lock
-
-    @property
-    def cache_traversals_saved(self) -> int:
-        return self.queries - self.traversals - self.shared_answers
 
     @property
     def avg_latency_seconds(self) -> float:
@@ -239,7 +235,6 @@ class ServingEngine(TopKIndex):
         self.read_kwargs = dict(read_kwargs) if read_kwargs else {}
         self.cache = ResultCache(cache_capacity if self._has_stamp() else 0)
         self.stats = ServingStats()
-        self.health = HealthSummary()
         if brownout is None:
             self.brownout: Optional[BrownoutController] = None
         elif isinstance(brownout, BrownoutController):
@@ -325,13 +320,9 @@ class ServingEngine(TopKIndex):
         lever is for the residual suspicion the stamps cannot see —
         failed contract spot-checks, a backend whose state digest
         drifted — where serving only freshly-computed answers is the
-        conservative play.  Returns the number of entries dropped; the
-        mirrored health summary is refreshed so the flush shows up in
-        the next telemetry tick.
+        conservative play.  Returns the number of entries dropped.
         """
-        dropped = self.cache.invalidate()
-        self._mirror_health()
-        return dropped
+        return self.cache.invalidate()
 
     # ------------------------------------------------------------------
     # Admission / drain
@@ -386,7 +377,6 @@ class ServingEngine(TopKIndex):
                 self.stats.queue_sheds += 1
             else:
                 self.stats.deadline_sheds += 1
-        self._mirror_health()
         if shed_reason == AdmissionRejected.REASON_QUEUE_FULL:
             message = f"pending queue full ({self.max_pending}); query shed"
         else:
@@ -558,7 +548,6 @@ class ServingEngine(TopKIndex):
                 self.service_estimate += alpha * (per_query - self.service_estimate)
             else:
                 self.service_estimate = per_query
-        self._mirror_health()
         return answers  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
@@ -666,14 +655,6 @@ class ServingEngine(TopKIndex):
             else:
                 out.append((index, group, answer))
         return out
-
-    # ------------------------------------------------------------------
-    def _mirror_health(self) -> None:
-        self.health.record_serving(self)
-        if self._cluster is not None:
-            self.health.record_replication(self._cluster)
-        if self._sharded is not None:
-            self.health.record_sharding(self._sharded)
 
 
 def serving_engine(

@@ -54,7 +54,8 @@ if recovery is impossible the query either raises
 :class:`~repro.resilience.errors.ShardUnavailable` or — with
 ``allow_partial`` — serves what the surviving shards hold, flagged via
 ``last_partial`` and counted in :class:`ShardingStats.partial_answers`
-(mirrored into :class:`~repro.resilience.guard.HealthSummary`).
+(``sharded.stats``, where the ops plane's
+:class:`~repro.ops.telemetry.TelemetryCollector` reads it).
 
 **Serving integration**: the index exposes ``read_stamp()`` (epoch =
 router epoch + shard failover epochs, LSN = summed applied LSNs) so

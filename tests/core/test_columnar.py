@@ -433,6 +433,35 @@ def test_worstcase_snapshot_roundtrip_stays_columnar():
         assert restored.query(predicate, k) == expected
 
 
+@pytest.mark.parametrize("reduction", ["theorem1", "theorem2"])
+def test_snapshot_roundtrip_keeps_columnar_false(reduction):
+    elements = make_toy_elements(200, seed=43)
+    if reduction == "theorem2":
+        def build(**kwargs):
+            return ExpectedTopKIndex(
+                elements, ToyPrioritized, ToyMax, seed=7, **kwargs
+            )
+
+        def restore(state):
+            return ExpectedTopKIndex.restore(state, ToyPrioritized, ToyMax)
+    else:
+        def build(**kwargs):
+            return WorstCaseTopKIndex(elements, ToyPrioritized, seed=9, **kwargs)
+
+        def restore(state):
+            return WorstCaseTopKIndex.restore(state, ToyPrioritized)
+
+    # A default build writes no switch: its record stream is unchanged.
+    assert "columnar" not in build().snapshot_state()
+    restored = restore(decode(encode(build(columnar=False).snapshot_state())))
+    assert restored._columns is None
+    again = restore(decode(encode(restored.snapshot_state())))
+    assert again._columns is None
+    predicate = RangePredicate(20.0, 80.0)
+    assert restored.query(predicate, 6) == oracle_top_k(elements, predicate, 6)
+    assert len(restored._scans) == 0
+
+
 # ----------------------------------------------------------------------
 # Memo-window keys: monotonic structure ids, never address-aliased
 # ----------------------------------------------------------------------

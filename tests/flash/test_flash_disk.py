@@ -1,8 +1,8 @@
-"""FlashDisk behind the Disk surface: EM integration and stats mirroring."""
+"""FlashDisk behind the Disk surface: EM integration and the device ledger."""
 
 import pytest
 
-from repro.em.model import EMContext, IOStats, block_checksum
+from repro.em.model import EMContext, block_checksum
 from repro.flash.disk import FlashDisk
 from repro.flash.ftl import FlashConfig
 
@@ -74,38 +74,41 @@ class TestDiskSurface:
 
 
 class TestStatsMirroring:
+    """A context's IOStats counts its own block transfers; the flash
+    ledger lives on the device.  The two agree without either copying
+    the other."""
+
     def test_context_sees_flash_counters(self):
         disk = small_disk()
         ctx = EMContext(B=4, disk=disk)
         for i in range(12):
             ctx.allocate_block([i])
         ctx.flush()
-        stats = ctx.stats
-        assert stats.flash_host_writes == disk.ftl.stats.host_writes > 0
-        assert stats.flash_device_writes == disk.ftl.stats.device_writes
-        assert stats.write_amplification >= 1.0
-        assert stats.flash_mean_wear == disk.ftl.mean_wear
-        assert stats.flash_max_wear == disk.ftl.max_wear
+        ledger = ctx.disk.flash_stats
+        assert ledger is disk.ftl.stats
+        assert ledger.host_writes == ctx.stats.writes > 0
+        assert ledger.device_writes >= ledger.host_writes
+        assert ledger.write_amplification >= 1.0
+        assert sorted(vars(ctx.stats)) == ["cache_hits", "reads", "writes"]
 
     def test_reboot_rebinds_without_double_counting(self):
         disk = small_disk()
         first = EMContext(B=4, disk=disk)
         blocks = [first.allocate_block([i]) for i in range(8)]
         first.flush()
-        carried = disk.ftl.stats.host_writes
-        assert first.stats.flash_host_writes == carried
+        carried = disk.flash_stats.host_writes
+        assert first.stats.writes == carried
 
         # A reboot mounts the same platter with a fresh context: the new
-        # machine's IOStats starts at zero and mirrors only new traffic,
-        # while the device's own cumulative counters keep the history.
+        # machine's IOStats starts at zero and counts only its own
+        # traffic, while the device's cumulative ledger keeps the history.
         second = EMContext(B=4, disk=disk)
-        assert second.stats.flash_host_writes == 0
+        assert second.stats.writes == 0
         second.write_block(blocks[0], ["rewritten"])
         second.flush()
-        assert second.stats.flash_host_writes == 1
-        assert disk.ftl.stats.host_writes == carried + 1
-        # The abandoned context stops receiving mirror updates.
-        assert first.stats.flash_host_writes == carried
+        assert second.stats.writes == 1
+        assert disk.flash_stats.host_writes == carried + 1
+        assert first.stats.writes == carried
 
     def test_snapshot_delta_isolates_a_window(self):
         disk = small_disk()
@@ -114,21 +117,13 @@ class TestStatsMirroring:
             ctx.allocate_block([i])
         ctx.flush()
         before = ctx.stats.snapshot()
+        host_before = disk.flash_stats.host_writes
         for i in range(6):
             ctx.allocate_block([100 + i])
         ctx.flush()
         window = ctx.stats.delta(before)
-        assert window.flash_host_writes == 6
-        # Gauges pass through as current values, not differences.
-        assert window.flash_max_wear == disk.ftl.max_wear
-
-    def test_plain_iostats_flash_fields_stay_zero_off_flash(self):
-        ctx = EMContext(B=4)
-        for i in range(6):
-            ctx.allocate_block([i])
-        ctx.flush()
-        assert ctx.stats.flash_host_writes == 0
-        assert ctx.stats.write_amplification == 0.0
+        assert window.writes == 6
+        assert disk.flash_stats.host_writes - host_before == 6
 
 
 class TestChecksumDeterminism:

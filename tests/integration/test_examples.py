@@ -70,6 +70,47 @@ def test_replicated_service_runs(capsys):
     assert "promotions=1 scrub_repairs=1" in out
 
 
+def test_sharded_service_runs(capsys):
+    import sharded_service
+
+    sharded_service.main()
+    out = capsys.readouterr().out
+    assert "still exact; recoveries=1, machine alive again: True" in out
+    assert "shards=5, splits=1, contact ratio=0.20" in out
+
+
+def test_flash_service_runs(capsys):
+    import flash_service
+
+    flash_service.main()
+    out = capsys.readouterr().out
+    assert "  36 |     1.50           7/4.9 | !! incident opened" in out
+    assert "1482 host writes, 1619 device writes (lifetime WA 1.092)" in out
+    assert "incidents: 2 opened, 2 resolved" in out
+    assert "final answers oracle-exact: True" in out
+
+
+def test_ops_service_runs(capsys):
+    import ops_service
+
+    ops_service.main()
+    out = capsys.readouterr().out
+    assert "incident #1 opened: machine:replica-0 [latency_storm]" in out
+    assert "incident #1 resolved (time-to-mitigate 4 ticks)" in out
+    assert "final state: 3/3 replicas alive, primary=replica-1" in out
+
+
+def test_overload_service_runs(capsys):
+    import overload_service
+
+    overload_service.main()
+    out = capsys.readouterr().out
+    assert "sheds       : 810 (644 queue-full, 166 past-deadline)" in out
+    assert "sheds       : 0 (0 queue-full, 0 past-deadline)" in out
+    assert "topology    : 7 shards at end" in out
+    assert "with every non-degraded answer oracle-exact" in out
+
+
 @pytest.mark.slow
 def test_hotel_search_runs(capsys):
     import hotel_search

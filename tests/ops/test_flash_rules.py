@@ -115,8 +115,11 @@ class TestCollectorDiscovery:
     def test_guard_reachable_durable_becomes_storage_source(self):
         guard, durable, _ = flash_stack()
         collector = TelemetryCollector(guard=guard)
+        assert collector.storage is durable
         tick = collector.collect(1)
-        assert tick.flash_host_writes == durable.durability_io.flash_host_writes > 0
+        ledger = durable.store.disk.flash_stats
+        assert tick.flash_host_writes == ledger.host_writes > 0
+        assert tick.flash_max_wear == durable.store.disk.ftl.max_wear
 
     def test_second_collect_reports_the_window_not_the_total(self):
         guard, durable, live = flash_stack()

@@ -1,5 +1,7 @@
 """TelemetryCollector: deltas, gauges, reset robustness, discovery."""
 
+from types import SimpleNamespace
+
 from repro.ops.telemetry import TelemetryCollector, _counter_delta
 from repro.resilience.guard import HealthReport, HealthSummary
 
@@ -20,30 +22,36 @@ class TestCounterDelta:
         assert _counter_delta(2, 10) == 2
 
 
+def guard_collector():
+    """A collector over a bare guard-shaped object: health, no backend."""
+    guard = SimpleNamespace(health=HealthSummary(), primary=None)
+    return guard.health, TelemetryCollector(guard=guard)
+
+
 class TestHealthSnapshotDelta:
     def test_delta_since_previous(self):
-        health = HealthSummary()
+        health, collector = guard_collector()
         health.record(report())
-        before = health.snapshot()
+        collector.collect(1)
         health.record(report(transient_faults=1))
-        delta = health.delta(before)
-        assert delta["queries"] == 1
-        assert delta["transient_faults"] == 1
+        sample = collector.collect(2)
+        assert sample.queries == 1
+        assert sample.transient_faults == 1
 
     def test_delta_without_previous_is_totals(self):
-        health = HealthSummary()
+        health, collector = guard_collector()
         health.record(report())
-        assert health.delta(None)["queries"] == 1
+        assert collector.collect(1).queries == 1
 
     def test_delta_survives_reset(self):
-        health = HealthSummary()
+        health, collector = guard_collector()
         health.record(report())
         health.record(report())
-        before = health.snapshot()
+        collector.collect(1)
         health.reset()
         health.record(report())
         # Totals went 2 -> 1; robust delta reports the post-reset count.
-        assert health.delta(before)["queries"] == 1
+        assert collector.collect(2).queries == 1
 
     def test_snapshot_is_detached(self):
         health = HealthSummary()

@@ -4,7 +4,8 @@ import pytest
 
 from conftest import elem, make_cluster
 from repro.core.problem import top_k_of
-from repro.resilience import HealthSummary, ResilientTopKIndex
+from repro.ops.telemetry import TelemetryCollector
+from repro.resilience import ResilientTopKIndex
 from repro.resilience.errors import InvalidConfiguration
 from toy import RangePredicate
 
@@ -104,23 +105,29 @@ class TestDivergenceAtReadTime:
 
 
 class TestGuardIntegration:
+    # Replication health stays on the cluster; the ops plane finds the
+    # cluster through the guard and reads each counter there.
     def test_health_summary_mirrors_replication(self, cluster):
         guard = ResilientTopKIndex(
             cluster, elements=[elem(i) for i in range(40)]
         )
+        collector = TelemetryCollector(guard=guard)
+        assert collector.cluster is cluster
         answer = guard.query(RangePredicate(0, 10_000), 5)
         assert answer == expected(40, 5)
-        assert guard.health.promotions == 0
-        assert set(guard.health.replica_lag) == {
-            r.name for r in cluster.replicas
-        }
+        sample = collector.collect(1)
+        assert sample.promotions == cluster.stats.promotions == 0
+        assert sample.replica_lag == cluster.replica_lag()
+        assert set(sample.replica_lag) == {r.name for r in cluster.replicas}
         cluster.primary.plan.schedule_crash(at_io=1)
         cluster.insert(elem(40))  # crash -> failover
         guard.query(RangePredicate(0, 10_000), 5)
-        assert guard.health.promotions == 1
+        assert cluster.stats.promotions == 1
+        assert collector.collect(2).promotions == 1
 
     def test_hedge_wins_and_scrub_repairs_surface_in_health(self, cluster):
         guard = ResilientTopKIndex(cluster)
+        collector = TelemetryCollector(guard=guard)
         cluster.primary.durable.insert(elem(990))  # durable follower lag
         cluster.query(RangePredicate(0, 10_000), 3, mode="hedged")
         from test_antientropy import corrupt_snapshot_block
@@ -129,6 +136,8 @@ class TestGuardIntegration:
         corrupt_snapshot_block(victim)
         cluster.scrub()
         guard.query(RangePredicate(0, 10_000), 3)
-        assert guard.health.hedge_wins == 1
-        assert guard.health.scrub_repairs == 1
-        assert all(lag == 0 for lag in guard.health.replica_lag.values())
+        assert cluster.stats.hedge_wins == 1
+        assert cluster.stats.scrub_repairs == 1
+        sample = collector.collect(1)
+        assert sample.scrub_repairs == 1
+        assert all(lag == 0 for lag in sample.replica_lag.values())

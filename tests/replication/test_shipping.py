@@ -26,14 +26,6 @@ class TestShipping:
             assert follower.applied_lsn == 0
             assert follower.durable.inner.n == 40  # memory untouched
 
-    def test_eager_mode_applies_at_ship_time(self):
-        cluster = make_cluster(apply_mode="eager")
-        for i in range(40, 50):
-            cluster.insert(elem(i))
-        for follower in (r for r in cluster.replicas if not r.is_primary):
-            assert follower.applied_lsn == 10
-            assert follower.durable.inner.n == 50
-
     def test_shipped_tail_matches_the_primary_log(self, cluster):
         for i in range(40, 52):
             cluster.insert(elem(i))

@@ -394,6 +394,43 @@ class TestHealthSummaryConcurrency:
         assert health.attempts == 2 * threads * per_thread
         assert health.transient_faults == threads * per_thread
 
+    def test_record_races_snapshot(self):
+        # Guards fold HealthReports while the ops plane snapshots: both
+        # serialise on the summary lock, so no snapshot ever sees a
+        # half-folded report (every report below adds one query and
+        # one attempt together).
+        import sys
+        import threading
+        from repro.resilience.guard import HealthReport, HealthSummary
+
+        health = HealthSummary()
+        rounds = 300
+        snapshots = []
+
+        def fold():
+            for _ in range(rounds):
+                health.record(HealthReport(attempts=1))
+
+        def observe():
+            for _ in range(rounds):
+                snapshots.append(health.snapshot())
+
+        threads = [
+            threading.Thread(target=fn) for fn in (fold, fold, observe, observe)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert health.queries == health.attempts == 2 * rounds
+        assert all(snap["queries"] == snap["attempts"] for snap in snapshots)
+
     def test_summary_still_asdict_serializable(self):
         # The lock is an instance attribute, not a dataclass field —
         # asdict() (used by the determinism harness) must keep working.

@@ -1,4 +1,4 @@
-"""ServingEngine: admission, caching, dispatch, and health mirroring."""
+"""ServingEngine: admission, caching, dispatch, and where its counters live."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import pytest
 from repro.core.problem import top_k_of
 from repro.core.theorem2 import ExpectedTopKIndex
 from repro.durability.durable import DurableTopKIndex
+from repro.ops.telemetry import TelemetryCollector
 from repro.resilience import AdmissionRejected, SimulatedCrash
 from repro.serving import QueryRequest, ServingEngine
 from toy import RangePredicate, ToyMax, ToyPrioritized
@@ -193,28 +194,23 @@ class TestFailoverEpoch:
 
 
 class TestHealthMirroring:
+    # Serving and replication counters stay with their owners; the ops
+    # plane finds the cluster through the engine and reads them there.
     def test_summary_carries_serving_and_replication_counters(self):
         elements = make_elements()
         requests = make_requests(30, seed=11)
         with make_engine(elements) as engine:
+            collector = TelemetryCollector(engine=engine)
+            assert collector.cluster is engine.backend
             engine.serve(requests)
             engine.serve(requests)
-            health = engine.health
-            assert health.served_queries == engine.stats.queries == 60
-            assert health.served_batches == engine.stats.batches
-            assert health.cache_hits == engine.cache.stats.hits > 0
-            assert health.cache_hit_rate == engine.cache.stats.hit_rate
-            assert health.serving_qps > 0
-            assert health.serving_avg_latency > 0
-            assert set(health.replica_lag) == {
+            assert engine.stats.queries == 60
+            assert engine.cache.stats.hits > 0
+            assert engine.stats.qps > 0
+            assert engine.stats.avg_latency_seconds > 0
+            sample = collector.collect(1)
+            assert sample.served_queries == engine.stats.queries
+            assert sample.serving_avg_latency == engine.stats.avg_latency_seconds
+            assert set(sample.replica_lag) == {
                 r.name for r in engine.backend.replicas
             }
-
-    def test_summary_reset_restores_defaults(self):
-        elements = make_elements()
-        with make_engine(elements) as engine:
-            engine.serve(make_requests(10, seed=12))
-            engine.health.reset()
-            assert engine.health.served_queries == 0
-            assert engine.health.cache_hit_rate == 0.0
-            assert engine.health.replica_lag == {}

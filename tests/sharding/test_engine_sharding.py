@@ -2,6 +2,7 @@
 
 import random
 
+from repro.ops.telemetry import TelemetryCollector
 from repro.resilience.guard import GuardPolicy, ResilientTopKIndex
 from repro.serving.engine import ServingEngine
 
@@ -81,17 +82,22 @@ class TestEngineOverShards:
             assert engine.cache.stats.misses > misses_before
 
     def test_health_mirrors_sharding(self):
+        # Sharding health stays on the index; the ops plane finds it
+        # through the engine and reads it there.
         elements = make_uniform_elements(48, seed=55)
         engine, idx = make_engine(elements, seed=55, pool_size=0)
         with engine:
+            collector = TelemetryCollector(engine=engine)
+            assert collector.sharded is idx
             engine.query(EVERYTHING, 4)
-            assert engine.health.shards == 4
-            assert engine.health.shard_sizes == idx.router.shard_sizes()
+            assert idx.router.num_shards == 4
+            assert collector.collect(1).shard_sizes == idx.router.shard_sizes()
             idx.split_shard()
             engine.query(EVERYTHING, 4)
-            assert engine.health.shards == 5
-            assert engine.health.shard_splits == 1
-            assert 0.0 < engine.health.scatter_contact_ratio <= 1.0
+            assert idx.router.num_shards == 5
+            assert idx.stats.splits == 1
+            assert 0.0 < idx.stats.contact_ratio <= 1.0
+            assert len(collector.collect(2).shards_alive) == 5
 
 
 class TestGuardOverShards:
@@ -103,11 +109,15 @@ class TestGuardOverShards:
             elements=elements,
             policy=GuardPolicy(spot_check_rate=1.0),
         )
+        collector = TelemetryCollector(guard=guard)
+        assert collector.sharded is idx
         answer, report = guard.query_with_report(EVERYTHING, 6)
         assert answer == oracle_top_k(elements, EVERYTHING, 6)
         assert not report.degraded
-        assert guard.health.shards == 4
-        assert guard.health.shard_sizes == idx.router.shard_sizes()
+        sample = collector.collect(1)
+        assert sample.queries == 1
+        assert sample.shard_sizes == idx.router.shard_sizes()
+        assert len(sample.shards_alive) == idx.router.num_shards == 4
 
     def test_unavailable_shard_degrades_to_scan_rung(self):
         from repro.resilience.errors import ShardUnavailable
