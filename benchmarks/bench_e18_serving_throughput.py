@@ -1,4 +1,4 @@
-"""E18 — Serving throughput: batching, LSN-stamped caching, dispatch.
+"""E18 — Serving throughput: batching and LSN-stamped caching.
 
 Two throughput claims about :class:`repro.serving.engine.ServingEngine`
 over a 3-replica :class:`~repro.replication.cluster.ReplicaSet`, both
@@ -15,8 +15,8 @@ on an otherwise identical stack is E23's job
    traversal.
 2. **Uniform traffic is >= 1.5x faster with the cache OFF.**  The win
    is attributable to batched execution alone (grouped predicates pay
-   one traversal at the group's max k) plus parallel dispatch; no
-   request is ever served from cache.
+   one traversal at the group's max k, each a ``cluster.query`` primary
+   read); no request is ever served from cache.
 
 Exactness is not negotiable: every answer of every mode is compared to
 the brute-force oracle (``top_k_of``), and the engine runs at
@@ -146,7 +146,6 @@ def _measure(workload_name, requests, elements, cache_capacity, floor):
         cache_capacity=cache_capacity,
         max_staleness=0,
         max_batch=BATCH,
-        parallel_threshold=4,
         read_kwargs={"mode": "primary"},
     )
     with engine:

@@ -17,7 +17,7 @@ Rahul & Tao, PODS 2016.  The package provides:
   :class:`~repro.resilience.guard.ResilientTopKIndex` degradation
   ladder in :mod:`repro.resilience`;
 * the high-throughput serving layer — batched execution, the
-  LSN-versioned result cache, and parallel replica dispatch — in
+  LSN-versioned result cache, and a parallel sharded fan-out — in
   :mod:`repro.serving`;
 * workload generators and the experiment harness in :mod:`repro.bench`.
 

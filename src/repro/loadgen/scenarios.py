@@ -153,12 +153,8 @@ class LoadScenarioRunner:
         batch_overhead=1.0,
     )
 
-    def __init__(self, model: Optional[ServiceModel] = None) -> None:
-        self.model = (
-            model
-            if model is not None
-            else ServiceModel(**self.DEFAULT_MODEL_ARGS)
-        )
+    def __init__(self) -> None:
+        self.model = ServiceModel(**self.DEFAULT_MODEL_ARGS)
 
     # ------------------------------------------------------------------
     # Builders

@@ -190,45 +190,34 @@ def scenario_elements(n: int) -> List[Element]:
     ]
 
 
-def _toy_factory(fabric: NetworkFabric, lease_ttl: int) -> ReplicaSet:
-    """Default cluster: canonical Theorem 2 replicas over a treap."""
-    from repro.replication.cluster import replicated_index
-    from repro.structures.range1d_dynamic import DynamicRangeTreap
-
-    return replicated_index(
-        scenario_elements(24),
-        DynamicRangeTreap,
-        DynamicRangeTreap,
-        num_replicas=3,
-        seed=5,
-        fabric=fabric,
-        lease_ttl=lease_ttl,
-    )
-
-
 def run_partition_scenario(
     scenario: PartitionScenario,
     seed: int,
     fenced: bool = True,
     steps: int = DEFAULT_STEPS,
-    cluster_factory: Optional[Callable[[NetworkFabric, int], ReplicaSet]] = None,
     force_failover_at: Optional[int] = None,
-    initial_elements: Optional[List[Element]] = None,
 ) -> ScenarioRun:
     """One seeded workload under one scenario; returns the checked run.
 
+    The cluster is three canonical Theorem 2 replicas over a treap.
     ``force_failover_at`` (a step index) deposes the primary mid-run —
     the unfenced ablation uses it to manufacture the split-brain window
     the checker must catch; fenced runs may also use it to prove the
     lease wait makes it safe.
     """
+    from repro.replication.cluster import replicated_index
+    from repro.structures.range1d_dynamic import DynamicRangeTreap
+
     fabric = NetworkFabric(seed=seed)
-    factory = cluster_factory if cluster_factory is not None else _toy_factory
-    cluster = factory(fabric, LEASE_TTL if fenced else 0)
-    elements = (
-        list(initial_elements)
-        if initial_elements is not None
-        else scenario_elements(24)
+    elements = scenario_elements(24)
+    cluster = replicated_index(
+        elements,
+        DynamicRangeTreap,
+        DynamicRangeTreap,
+        num_replicas=3,
+        seed=5,
+        fabric=fabric,
+        lease_ttl=LEASE_TTL if fenced else 0,
     )
     names = [r.name for r in cluster.replicas]
     scenario.schedule(fabric, names, steps)

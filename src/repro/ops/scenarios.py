@@ -58,8 +58,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.problem import Element, top_k_of
-from repro.ops.operator import Operator, OperatorPolicy
-from repro.ops.detector import DetectorPolicy
+from repro.ops.operator import Operator
 from repro.replication.cluster import replicated_index
 from repro.replication.failover import FailoverPolicy
 from repro.resilience.faults import FaultPlan
@@ -169,14 +168,6 @@ class ScenarioResult:
 class ChaosScenarioRunner:
     """Build, script, run, and grade chaos scenarios (module docstring)."""
 
-    def __init__(
-        self,
-        operator_policy: Optional[OperatorPolicy] = None,
-        detector_policy: Optional[DetectorPolicy] = None,
-    ) -> None:
-        self.operator_policy = operator_policy
-        self.detector_policy = detector_policy
-
     # ------------------------------------------------------------------
     # Stack builders
     # ------------------------------------------------------------------
@@ -267,8 +258,6 @@ class ChaosScenarioRunner:
         probes = self._probes(live, spec.seed)
         operator = Operator(
             guard=guard,
-            policy=self.operator_policy,
-            detector_policy=self.detector_policy,
             probes=probes,
             elements=live,
         )
@@ -358,8 +347,6 @@ class ChaosScenarioRunner:
         probes = self._probes(live, seed)
         operator = Operator(
             guard=guard,
-            policy=self.operator_policy,
-            detector_policy=self.detector_policy,
             probes=probes,
             elements=live,
         )

@@ -6,7 +6,7 @@ replica set of N independent simulated machines:
 * :mod:`repro.replication.replica` — one machine (disk + scoped fault
   plan + durable store + index);
 * :mod:`repro.replication.cluster` — the :class:`ReplicaSet`:
-  synchronous WAL shipping, quorum/hedged/primary reads with staleness
+  synchronous WAL shipping, quorum/primary reads with staleness
   bounds, and the degradation ladder down to
   rebuild-from-durable-record;
 * :mod:`repro.replication.failover` — deterministic failure detection
@@ -17,14 +17,13 @@ replica set of N independent simulated machines:
 A :class:`ReplicaSet` is itself a
 :class:`~repro.core.interfaces.TopKIndex`, so it plugs into
 :class:`~repro.resilience.guard.ResilientTopKIndex` as a primary
-backend.  Replication health stays on the set: promotions, hedge wins
-and scrub repairs in ``cluster.stats``, per-replica lag from
-``cluster.replica_lag()``.
+backend.  Replication health stays on the set: promotions, quorum
+mismatches and scrub repairs in ``cluster.stats``, per-replica lag
+from ``cluster.replica_lag()``.
 """
 
 from repro.replication.antientropy import AntiEntropyScrubber, ScrubReport
 from repro.replication.cluster import (
-    READ_HEDGED,
     READ_PRIMARY,
     READ_QUORUM,
     ReplicaSet,
@@ -42,7 +41,6 @@ __all__ = [
     "replicated_index",
     "READ_PRIMARY",
     "READ_QUORUM",
-    "READ_HEDGED",
     "FailoverController",
     "FailoverPolicy",
     "Replica",

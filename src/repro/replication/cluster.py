@@ -29,13 +29,14 @@ index — coordinated by three mechanisms:
   block seals per replica and state digests across replicas, and
   resyncing any divergent machine from a clean source.
 
-Reads come in three modes: ``primary`` (authoritative), ``quorum``
-(majority of live replicas must answer within the staleness bound;
-disagreement is counted and left for the scrubber), and ``hedged`` (a
-round-robin follower serves, falling back to the primary when the
-follower is stale or faulty).  A follower whose applied LSN trails the
-bound first catches up from its own durable log; if it is *durably*
-behind (missed ships), the read falls back to the primary.
+Reads come in two modes, and :meth:`ReplicaSet.query` is the one way
+anything reads the set: ``primary`` (authoritative; fenced, it needs
+the same lease proof as a write) and ``quorum`` (the default: a
+majority of live replicas must answer within the staleness bound;
+disagreement is counted and left for the scrubber).  A follower whose
+applied LSN trails the bound first catches up from its own durable
+log; if it is *durably* behind (missed ships), the read falls back to
+the primary.
 
 Degradation ladder: healthy quorum → degraded reads (fewer live
 replicas than a majority — served and counted, never silently) →
@@ -65,7 +66,7 @@ lease — split-brain is structurally impossible, not just unlikely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.interfaces import TopKIndex
@@ -99,8 +100,7 @@ from repro.resilience.faults import FaultPlan
 
 READ_PRIMARY = "primary"
 READ_QUORUM = "quorum"
-READ_HEDGED = "hedged"
-_READ_MODES = (READ_PRIMARY, READ_QUORUM, READ_HEDGED)
+_READ_MODES = (READ_PRIMARY, READ_QUORUM)
 
 
 class _StaleRead(ReplicaUnavailable):
@@ -124,8 +124,6 @@ class ReplicationStats:
     quorum_reads: int = 0
     quorum_mismatches: int = 0
     degraded_reads: int = 0
-    hedged_reads: int = 0
-    hedge_wins: int = 0
     stale_fallbacks: int = 0
     scrubs: int = 0
     scrub_repairs: int = 0
@@ -162,9 +160,9 @@ class ReplicaSet(TopKIndex):
         Cluster shape; plans default to disarmed per-machine plans.
     B / M / commit_interval:
         Per-machine durable store parameters.
-    read_mode / max_staleness:
-        Default read mode and the per-replica staleness bound (in LSNs
-        behind the primary's applied LSN) a serving replica may carry.
+    max_staleness:
+        The per-replica staleness bound (in LSNs behind the primary's
+        applied LSN) a serving replica may carry.
     fabric:
         The :class:`~repro.net.fabric.NetworkFabric` carrying all
         inter-replica traffic.  Omitted, a private perfect fabric is
@@ -184,7 +182,6 @@ class ReplicaSet(TopKIndex):
         B: int = 16,
         M: Optional[int] = None,
         commit_interval: int = 1,
-        read_mode: str = READ_QUORUM,
         max_staleness: int = 0,
         failover_policy: Optional[FailoverPolicy] = None,
         fault_plans: Optional[Sequence[Optional[FaultPlan]]] = None,
@@ -196,8 +193,6 @@ class ReplicaSet(TopKIndex):
             raise InvalidConfiguration(
                 f"num_replicas must be >= 1, got {num_replicas}"
             )
-        if read_mode not in _READ_MODES:
-            raise InvalidConfiguration(f"unknown read_mode {read_mode!r}")
         if max_staleness < 0:
             raise InvalidConfiguration(
                 f"max_staleness must be >= 0, got {max_staleness}"
@@ -221,7 +216,6 @@ class ReplicaSet(TopKIndex):
         self.B = B
         self.M = M
         self.commit_interval = commit_interval
-        self.read_mode = read_mode
         self.max_staleness = max_staleness
         elements = list(elements)
         self.replicas: List[Replica] = [
@@ -240,7 +234,6 @@ class ReplicaSet(TopKIndex):
         self.failover = FailoverController(failover_policy)
         self.scrubber = AntiEntropyScrubber(restore_fn)
         self.stats = ReplicationStats()
-        self._hedge_cursor = 0
         # Bumped on every promotion/rebuild.  A new primary may hold a
         # *lower* applied LSN than its predecessor (an uncommitted tail
         # died with the old machine), so LSN comparison alone cannot
@@ -494,32 +487,46 @@ class ReplicaSet(TopKIndex):
                 successor = self.failover.pick_successor(candidates)
             except FailoverError:
                 return self._rebuild_from_durable()
-            if self._fenced:
-                self.fabric.advance_to(self.failover.lease_expires)
-            try:
-                replayed = self.failover.promote(successor)
-            except SimulatedCrash:
+            if self._promote(successor):
+                return successor
+
+    def _promote(self, successor: Replica) -> bool:
+        """Make ``successor`` the primary of the next epoch.
+
+        Fenced, the deposed holder's lease is waited out first.  The
+        successor replays its committed-but-unapplied tail; then every
+        other primary is demoted, the commit epoch is bumped, and
+        (fenced) the successor is granted the lease and announces the
+        epoch.  Returns ``False`` when the successor faulted during
+        replay — marked dead on a crash or a condemned streak — so the
+        caller picks again.
+        """
+        if self._fenced:
+            self.fabric.advance_to(self.failover.lease_expires)
+        try:
+            replayed = self.failover.promote(successor)
+        except SimulatedCrash:
+            successor.mark_dead()
+            self.stats.follower_deaths += 1
+            return False
+        except TransientIOError as exc:
+            if self.failover.note_fault(successor.name, exc):
                 successor.mark_dead()
                 self.stats.follower_deaths += 1
-                continue
-            except TransientIOError as exc:
-                if self.failover.note_fault(successor.name, exc):
-                    successor.mark_dead()
-                    self.stats.follower_deaths += 1
-                continue
-            for replica in self.replicas:
-                if replica is not successor and replica.is_primary:
-                    replica.role = ROLE_FOLLOWER
-            self.primary_index = self.replicas.index(successor)
-            self.stats.promotions += 1
-            self.stats.failover_records_replayed += replayed
-            self.commit_epoch += 1
-            self._epoch_base_lsn = successor.durable_lsn
-            successor.log_epoch = self.commit_epoch
-            if self._fenced:
-                self.failover.grant_lease(successor.name, self.fabric.now)
-                self._announce_epoch(successor)
-            return successor
+            return False
+        for replica in self.replicas:
+            if replica is not successor and replica.is_primary:
+                replica.role = ROLE_FOLLOWER
+        self.primary_index = self.replicas.index(successor)
+        self.stats.promotions += 1
+        self.stats.failover_records_replayed += replayed
+        self.commit_epoch += 1
+        self._epoch_base_lsn = successor.durable_lsn
+        successor.log_epoch = self.commit_epoch
+        if self._fenced:
+            self.failover.grant_lease(successor.name, self.fabric.now)
+            self._announce_epoch(successor)
+        return True
 
     def _on_primary_death(self, primary: Replica) -> Replica:
         primary.mark_dead()
@@ -621,32 +628,9 @@ class ReplicaSet(TopKIndex):
                         "side of a partition"
                     )
             successor = self.failover.pick_successor(candidates)
-            if self._fenced:
-                self.fabric.advance_to(self.failover.lease_expires)
-            try:
-                replayed = self.failover.promote(successor)
-            except SimulatedCrash:
-                successor.mark_dead()
-                self.stats.follower_deaths += 1
+            if not self._promote(successor):
                 continue
-            except TransientIOError as exc:
-                if self.failover.note_fault(successor.name, exc):
-                    successor.mark_dead()
-                    self.stats.follower_deaths += 1
-                continue
-            for replica in self.replicas:
-                if replica is not successor and replica.is_primary:
-                    replica.role = ROLE_FOLLOWER
-            self.primary_index = self.replicas.index(successor)
-            self.stats.promotions += 1
             self.stats.forced_failovers += 1
-            self.stats.failover_records_replayed += replayed
-            self.commit_epoch += 1
-            self._epoch_base_lsn = successor.durable_lsn
-            successor.log_epoch = self.commit_epoch
-            if self._fenced:
-                self.failover.grant_lease(successor.name, self.fabric.now)
-                self._announce_epoch(successor)
             if old.alive:
                 # The deposed primary's streak starts clean under its
                 # new, lighter follower duty.
@@ -1023,64 +1007,14 @@ class ReplicaSet(TopKIndex):
         primary = self._require_primary()
         return (self.commit_epoch, primary.applied_lsn)
 
-    def serving_replicas(self, max_staleness: Optional[int] = None) -> List[Replica]:
-        """The machines eligible to serve reads at the staleness bound.
-
-        The primary plus every live follower whose applied LSN is (or
-        can be brought, via its own durable log) within ``staleness``
-        of the primary's.  Catch-up replay happens *here*, on the
-        coordinator, so the returned replicas can be queried read-only
-        from worker threads without touching shared cluster state.
-        Followers that fault during catch-up are handled with the usual
-        death/streak accounting; durably-short followers are skipped
-        and counted as stale fallbacks.
-        """
-        staleness = self.max_staleness if max_staleness is None else max_staleness
-        primary = self._require_primary()
-        required = primary.applied_lsn - staleness
-        servers = [primary]
-        for follower in sorted(
-            (r for r in self.live_replicas if not r.is_primary),
-            key=lambda r: r.name,
-        ):
-            if (
-                self._fenced
-                and follower.log_epoch < self.commit_epoch
-                and follower.durable_lsn > self._epoch_base_lsn
-            ):
-                # A dead-epoch tail past the fork point: divergent,
-                # cannot serve (same rule as _serve).  Note this is a
-                # *log* test — a lease heartbeat heard over a half-open
-                # link must not launder a divergent replica back in.
-                self.stats.stale_fallbacks += 1
-                continue
-            try:
-                if follower.applied_lsn < required:
-                    follower.durable.replay_unapplied()
-            except SimulatedCrash:
-                follower.mark_dead()
-                self.stats.follower_deaths += 1
-                continue
-            except TransientIOError as exc:
-                if self.failover.note_fault(follower.name, exc):
-                    follower.mark_dead()
-                    self.stats.follower_deaths += 1
-                continue
-            if follower.applied_lsn < required:
-                self.stats.stale_fallbacks += 1
-                continue
-            servers.append(follower)
-        return servers
-
     def query(
         self,
         predicate: Predicate,
         k: int,
-        mode: Optional[str] = None,
+        mode: str = READ_QUORUM,
         max_staleness: Optional[int] = None,
         **kwargs,
     ) -> List[Element]:
-        mode = self.read_mode if mode is None else mode
         if mode not in _READ_MODES:
             raise InvalidConfiguration(f"unknown read mode {mode!r}")
         staleness = (
@@ -1088,8 +1022,6 @@ class ReplicaSet(TopKIndex):
         )
         if mode == READ_PRIMARY:
             return self._query_primary(predicate, k, kwargs)
-        if mode == READ_HEDGED:
-            return self._query_hedged(predicate, k, staleness, kwargs)
         return self._query_quorum(predicate, k, staleness, kwargs)
 
     def _query_primary(self, predicate: Predicate, k: int, kwargs: dict) -> List[Element]:
@@ -1208,40 +1140,6 @@ class ReplicaSet(TopKIndex):
             self.stats.quorum_mismatches += 1
         return freshest[3]
 
-    def _query_hedged(
-        self, predicate: Predicate, k: int, staleness: int, kwargs: dict
-    ) -> List[Element]:
-        """Follower-first read with the primary as the hedge.
-
-        Followers take reads round-robin; a follower that is stale,
-        faulty, or dead loses the race and the primary's answer wins
-        (counted as a hedge win).
-        """
-        self.stats.hedged_reads += 1
-        primary = self._require_primary()
-        required = primary.applied_lsn - staleness
-        followers = sorted(
-            (r for r in self.live_replicas if not r.is_primary),
-            key=lambda r: r.name,
-        )
-        if followers:
-            preferred = followers[self._hedge_cursor % len(followers)]
-            self._hedge_cursor += 1
-            try:
-                return self._serve(preferred, required, predicate, k, kwargs)
-            except _StaleRead:
-                self.stats.stale_fallbacks += 1
-            except SimulatedCrash:
-                preferred.mark_dead()
-                self.stats.follower_deaths += 1
-            except TransientIOError as exc:
-                if self.failover.note_fault(preferred.name, exc):
-                    preferred.mark_dead()
-                    self.stats.follower_deaths += 1
-        answer = self._query_primary(predicate, k, kwargs)
-        self.stats.hedge_wins += 1
-        return answer
-
     # ------------------------------------------------------------------
     # Anti-entropy
     # ------------------------------------------------------------------
@@ -1299,5 +1197,4 @@ __all__ = [
     "replicated_index",
     "READ_PRIMARY",
     "READ_QUORUM",
-    "READ_HEDGED",
 ]

@@ -1,4 +1,4 @@
-"""High-throughput serving: batching, LSN-versioned caching, dispatch.
+"""High-throughput serving: batching, LSN-versioned caching, fan-out.
 
 The serving layer amortises work across the query *stream* — the axis
 the per-query reductions cannot optimise:
@@ -12,9 +12,10 @@ the per-query reductions cannot optimise:
   stamp past the configured staleness bound;
 * :mod:`repro.serving.engine` — :class:`ServingEngine`: admission
   control (bounded queue + load-shed counting), batch execution, and
-  parallel dispatch of a batch's groups across the replicas of a
-  :class:`~repro.replication.cluster.ReplicaSet` that are eligible to
-  serve within the staleness bound.
+  a parallel fan-out of a batch's groups over a
+  :class:`~repro.sharding.sharded.ShardedTopKIndex`; a
+  :class:`~repro.replication.cluster.ReplicaSet` is read through its
+  own ``query``.
 
 The engine is itself a :class:`~repro.core.interfaces.TopKIndex`, so
 it stacks under a :class:`~repro.resilience.guard.ResilientTopKIndex`

@@ -14,17 +14,18 @@ Three amortisation layers stack in front of any backend index
    are grouped by predicate and answered with one traversal per group
    at the group's largest ``k``, smaller members sliced off as
    prefixes;
-3. **parallel replica dispatch** — when the backend is a replica set,
-   the batch's groups are partitioned round-robin across the replicas
-   currently eligible to serve within the staleness bound (primary
-   plus caught-up followers, per
-   :meth:`~repro.replication.cluster.ReplicaSet.serving_replicas`) and
-   each partition runs on a thread-pool worker.  Workers only *read*
-   their own machine — all cluster bookkeeping (catch-up, failover,
-   death marking) stays on the coordinating thread; a partition that
-   faults mid-flight is re-run through the cluster's own fault-aware
-   ``query`` path, so crashes during dispatch degrade to the ordinary
-   PR-3 failover story instead of racing it.
+3. **sharded fan-out** — when the backend is a
+   :class:`~repro.sharding.sharded.ShardedTopKIndex`, the batch's
+   groups are partitioned round-robin across a thread pool and each
+   worker runs whole scatter-gathers
+   (:meth:`~repro.sharding.sharded.ShardedTopKIndex.batch_groups`).
+   Any other backend answers each group with one
+   ``backend.query(predicate, k, **read_kwargs)`` on the coordinating
+   thread (inside the backend's ``batched()`` memo window, if it has
+   one) — for a replica set that is
+   :meth:`~repro.replication.cluster.ReplicaSet.query`, which owns the
+   read mode, the staleness bound, the lease proof of primary reads,
+   and failover.
 
 Admission control is **deadline-aware**, not merely bounded:
 :meth:`submit` sheds (raising
@@ -51,7 +52,8 @@ owner.
 Concurrency contract: one coordinator thread drains; :meth:`submit`
 may be called from any number of client threads concurrently (the
 admission queue and every :class:`ServingStats` mutation are
-lock-protected), and only the read-only partition work fans out.
+lock-protected), and only a sharded backend's scatter-gathers fan out
+(per-shard locks keep every machine single-threaded).
 Updates go directly to the backend between drains (the stamp read at
 batch start is the serving snapshot; anything committed after it is
 picked up by the next batch's stamp).
@@ -63,32 +65,19 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.interfaces import TopKIndex
 from repro.core.problem import Element, Predicate
 from repro.serving.batch import (
     BatchGroup,
     QueryRequest,
-    execute_batch,
     plan_batch,
     predicate_key,
 )
-from repro.serving.brownout import (
-    LEVEL_PARTIAL,
-    LEVEL_REDUCED_K,
-    BrownoutController,
-    BrownoutPolicy,
-)
+from repro.serving.brownout import BrownoutController, BrownoutPolicy
 from repro.serving.cache import ResultCache
-from repro.resilience.errors import (
-    AdmissionRejected,
-    InvalidConfiguration,
-    ReplicaUnavailable,
-    ReproError,
-    SimulatedCrash,
-    TransientIOError,
-)
+from repro.resilience.errors import AdmissionRejected, InvalidConfiguration
 
 
 @dataclass
@@ -112,8 +101,7 @@ class ServingStats:
     deadline_sheds: int = 0      # shed because the deadline was unmeetable
     reduced_k_answers: int = 0   # answers truncated by the brownout k cap
     partial_served: int = 0      # answers flagged partial-suspect (shard loss)
-    parallel_batches: int = 0    # batches fanned out across replicas
-    dispatch_failovers: int = 0  # partitions re-run through the cluster path
+    parallel_batches: int = 0    # batches fanned out across the pool (sharded)
     busy_seconds: float = 0.0    # wall time spent inside drain()
     max_latency_seconds: float = 0.0  # slowest single drain, amortised per query
     _started: float = field(default_factory=time.perf_counter, repr=False)
@@ -163,15 +151,17 @@ class ServedMeta:
 
 
 class ServingEngine(TopKIndex):
-    """Batching + caching + parallel dispatch over one backend index.
+    """Batching + caching + sharded fan-out over one backend index.
 
     Parameters
     ----------
     backend:
         The index being served.  A
-        :class:`~repro.replication.cluster.ReplicaSet` unlocks parallel
-        dispatch; a :class:`~repro.durability.durable.DurableTopKIndex`
-        (or anything with a ``read_stamp()`` / ``applied_lsn``) unlocks
+        :class:`~repro.sharding.sharded.ShardedTopKIndex` unlocks the
+        parallel fan-out; a
+        :class:`~repro.durability.durable.DurableTopKIndex` (or anything
+        with a ``read_stamp()`` / ``applied_lsn``, such as a
+        :class:`~repro.replication.cluster.ReplicaSet`) unlocks
         LSN-stamped caching.  A backend with neither still batches, but
         the cache stays disabled — without an LSN source a cached
         answer could never be invalidated by an update.
@@ -183,11 +173,13 @@ class ServingEngine(TopKIndex):
     max_pending:
         Admission bound: :meth:`submit` beyond this sheds.
     pool_size / parallel_threshold:
-        Dispatch thread pool width (0 disables) and the minimum number
-        of distinct groups before fanning out is worth the overhead.
+        Fan-out thread pool width for a sharded backend (0 disables;
+        other backends never get a pool) and the minimum number of
+        distinct groups before fanning out is worth the overhead.
     read_kwargs:
-        Extra keyword arguments for every backend query (e.g.
-        ``mode="hedged"`` for a replica-set backend).
+        Extra keyword arguments for every backend query of a
+        non-sharded backend (e.g. ``mode="primary"`` for a replica-set
+        backend).
     brownout:
         ``None`` (disabled), a :class:`BrownoutPolicy`, or a
         pre-built :class:`BrownoutController`.  When set, every
@@ -258,15 +250,10 @@ class ServingEngine(TopKIndex):
         self._pending: List[QueryRequest] = []
         self._pool: Optional[ThreadPoolExecutor] = None
         self._pool_size = max(0, pool_size)
-        from repro.replication.cluster import ReplicaSet
-
-        self._cluster = backend if isinstance(backend, ReplicaSet) else None
         from repro.sharding.sharded import ShardedTopKIndex
 
         self._sharded = backend if isinstance(backend, ShardedTopKIndex) else None
-        if (
-            self._cluster is not None or self._sharded is not None
-        ) and self._pool_size > 0:
+        if self._sharded is not None and self._pool_size > 0:
             self._pool = ThreadPoolExecutor(
                 max_workers=self._pool_size,
                 thread_name_prefix="repro-serving",
@@ -287,7 +274,7 @@ class ServingEngine(TopKIndex):
         return (0, getattr(self.backend, "applied_lsn", 0))
 
     def close(self) -> None:
-        """Shut the dispatch pool down (idempotent)."""
+        """Shut the fan-out pool down (idempotent)."""
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
@@ -551,7 +538,7 @@ class ServingEngine(TopKIndex):
         return answers  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
-    # Dispatch: partitioned across replicas, or serial
+    # Dispatch: fanned out by a sharded backend, or serial
     # ------------------------------------------------------------------
     def _dispatch(self, groups: List[BatchGroup]) -> List[List[Element]]:
         """One full answer per group, in group order."""
@@ -572,14 +559,6 @@ class ServingEngine(TopKIndex):
                     self.brownout is not None and self.brownout.partial_ok
                 ),
             )
-        if (
-            self._pool is not None
-            and self._cluster is not None
-            and len(groups) >= self.parallel_threshold
-        ):
-            servers = self._cluster.serving_replicas(self.max_staleness)
-            if len(servers) > 1:
-                return self._dispatch_parallel(groups, servers)
         window = getattr(self.backend, "batched", None)
         if window is not None:
             # A raw reduction backend: share its memoized sub-probes
@@ -590,71 +569,6 @@ class ServingEngine(TopKIndex):
 
     def _query_backend(self, predicate: Predicate, k: int) -> List[Element]:
         return self.backend.query(predicate, k, **self.read_kwargs)
-
-    def _dispatch_parallel(
-        self, groups: List[BatchGroup], servers: List
-    ) -> List[List[Element]]:
-        """Fan the groups out round-robin over the eligible replicas.
-
-        One pool task per replica runs its whole partition sequentially
-        — a machine is never touched by two threads, and the
-        coordinator touches no replica while workers run.  Workers
-        return faults as data; any group a worker could not answer is
-        re-run through the cluster's own ``query`` (which owns failover
-        and death-marking), so a crash mid-dispatch costs one serial
-        retry, never a raced promotion.
-        """
-        with self.stats.lock:
-            self.stats.parallel_batches += 1
-        partitions: List[List[Tuple[int, BatchGroup]]] = [[] for _ in servers]
-        for index, group in enumerate(groups):
-            partitions[index % len(servers)].append((index, group))
-        assert self._pool is not None
-        futures = [
-            self._pool.submit(self._run_partition, server, partition)
-            for server, partition in zip(servers, partitions)
-            if partition
-        ]
-        answers: List[Optional[List[Element]]] = [None] * len(groups)
-        retry: List[Tuple[int, BatchGroup]] = []
-        for future in futures:
-            for index, group, answer in future.result():
-                if answer is None:
-                    retry.append((index, group))
-                else:
-                    answers[index] = answer
-        for index, group in retry:
-            with self.stats.lock:
-                self.stats.dispatch_failovers += 1
-            answers[index] = self._query_backend(group.predicate, group.max_k)
-        return answers  # type: ignore[return-value]
-
-    @staticmethod
-    def _run_partition(server, partition):
-        """Worker body: read-only queries against one replica.
-
-        Returns ``(group index, group, answer-or-None)`` triples;
-        ``None`` marks a fault (machine crash, transient I/O, replica
-        down) left for the coordinator to handle serially.
-        """
-        out = []
-        dead = False
-        for index, group in partition:
-            if dead:
-                out.append((index, group, None))
-                continue
-            try:
-                answer = server.durable.query(group.predicate, group.max_k)
-            except SimulatedCrash:
-                # The machine died; everything else in this partition
-                # fails over too (a crashed plan serves no further I/O).
-                dead = True
-                out.append((index, group, None))
-            except (TransientIOError, ReplicaUnavailable, ReproError):
-                out.append((index, group, None))
-            else:
-                out.append((index, group, answer))
-        return out
 
 
 def serving_engine(

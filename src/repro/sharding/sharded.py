@@ -101,7 +101,6 @@ class ShardingStats:
     """Counters of everything the sharded index did."""
 
     queries: int = 0
-    batch_queries: int = 0
     inserts: int = 0
     deletes: int = 0
     shard_slots: int = 0       # sum over queries of shards in the map
@@ -604,36 +603,6 @@ class ShardedTopKIndex(TopKIndex):
             (index, self.query(p, k, allow_partial=allow_partial))
             for index, p, k in partition
         ]
-
-    def query_topk_batch(
-        self,
-        requests,
-        pool=None,
-        parallel_threshold: int = 4,
-        allow_partial: Optional[bool] = None,
-        **kwargs,
-    ) -> List[List[Element]]:
-        """Batched entry point: plan by predicate, fan out, slice prefixes."""
-        from repro.serving.batch import QueryRequest, plan_batch
-
-        normalized = [
-            r if isinstance(r, QueryRequest) else QueryRequest(r[0], r[1])
-            for r in requests
-        ]
-        with self._stats_lock:
-            self.stats.batch_queries += len(normalized)
-        plan = plan_batch(normalized)
-        full_by_group = self.batch_groups(
-            [(group.predicate, group.max_k) for group in plan.groups],
-            pool=pool,
-            parallel_threshold=parallel_threshold,
-            allow_partial=allow_partial,
-        )
-        answers: List[Optional[List[Element]]] = [None] * len(normalized)
-        for group, full in zip(plan.groups, full_by_group):
-            for position, k in group.members:
-                answers[position] = full[:k]
-        return answers  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
     # Updates (route, WAL-first on the shard, idempotent retry)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from net_util import LEASE_TTL, elem, make_cluster, make_fenced
-from repro.core.problem import Element
+from repro.core.problem import Element, top_k_of
 from repro.net import MSG_WAL_SHIP, NetworkFabric
 from repro.replication.replica import ROLE_FOLLOWER, Replica
 from repro.resilience.errors import (
@@ -22,6 +22,7 @@ from repro.resilience.errors import (
     ReplicaUnavailable,
     TransientIOError,
 )
+from repro.serving import ServingEngine
 from toy import RangePredicate
 
 
@@ -98,6 +99,32 @@ class TestLeases:
         # compensated back.
         stranded = next(r for r in cluster.replicas if r.name == primary)
         assert Element(100, 1100.0) not in stranded.durable.inner
+
+    def test_primary_mode_engine_batch_needs_the_lease(self):
+        # An engine reads a replica set only through ReplicaSet.query,
+        # pool or no pool: a primary-mode batch takes the lease proof,
+        # so the isolated primary demotes itself and the majority
+        # elects before anything is served.
+        cluster, fabric = make_fenced()
+        elements = [elem(i) for i in range(40)]
+        requests = [
+            (RangePredicate(lo, lo + 15), k)
+            for lo, k in [(0, 3), (5, 5), (10, 2), (20, 4), (0, 7)]
+        ]
+        engine = ServingEngine(
+            cluster,
+            read_kwargs={"mode": "primary"},
+            pool_size=2,
+            parallel_threshold=1,
+            cache_capacity=0,
+        )
+        with engine:
+            isolate_primary(cluster, fabric)
+            fabric.advance(3 * LEASE_TTL)
+            answers = engine.serve(requests)
+        assert answers == [top_k_of(elements, p, k) for p, k in requests]
+        assert cluster.stats.lease_expirations == 1
+        assert cluster.stats.promotions == 1
 
 
 class TestFencedRejects:

@@ -9,16 +9,14 @@ from repro.resilience.errors import SimulatedCrash, TransientIOError
 from toy import RangePredicate
 
 
-def run_workload(crash_at=None, num_replicas=3, read_mode="quorum"):
+def run_workload(crash_at=None, num_replicas=3):
     """A fixed mixed insert/delete/query script; returns every answer.
 
     With ``crash_at`` set, the primary machine dies at that I/O
     transfer; the script never knows — answers must match the
     never-crashed run bit-for-bit.
     """
-    cluster = make_cluster(
-        n=30, num_replicas=num_replicas, read_mode=read_mode
-    )
+    cluster = make_cluster(n=30, num_replicas=num_replicas)
     if crash_at is not None:
         cluster.primary.plan.schedule_crash(at_io=crash_at)
     answers = []

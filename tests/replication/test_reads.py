@@ -1,4 +1,4 @@
-"""Read modes: primary, quorum, hedged — staleness bounds and fallbacks."""
+"""Read modes: primary and quorum — staleness bounds and fallbacks."""
 
 import pytest
 
@@ -26,21 +26,6 @@ class TestModes:
         assert answer == expected(50, 7)
         assert cluster.stats.quorum_reads == 1
         assert cluster.stats.quorum_mismatches == 0
-
-    def test_hedged_mode_is_exact_and_served_by_followers(self, cluster):
-        cluster.align()
-        answer = cluster.query(RangePredicate(0, 10_000), 5, mode="hedged")
-        assert answer == expected(40, 5)
-        assert cluster.stats.hedged_reads == 1
-        assert cluster.stats.hedge_wins == 0  # the follower won the race
-
-    def test_hedged_round_robins_the_followers(self, cluster):
-        cluster.align()
-        for _ in range(4):
-            cluster.query(RangePredicate(0, 10_000), 3, mode="hedged")
-        assert cluster.stats.hedged_reads == 4
-        assert cluster.stats.hedge_wins == 0
-        assert cluster._hedge_cursor == 4  # two followers, two laps
 
     def test_unknown_mode_raises(self, cluster):
         with pytest.raises(InvalidConfiguration, match="unknown read mode"):
@@ -77,21 +62,6 @@ class TestStaleness:
         assert cluster.stats.stale_fallbacks == 0
         assert cluster.stats.quorum_mismatches == 1
 
-    def test_hedged_stale_follower_loses_to_the_primary(self, cluster):
-        self.stale_followers(cluster)
-        answer = cluster.query(
-            RangePredicate(0, 10_000), 3, mode="hedged", max_staleness=0
-        )
-        assert [e.obj for e in answer] == [990, 39, 38]
-        assert cluster.stats.stale_fallbacks == 1
-        assert cluster.stats.hedge_wins == 1
-
-    def test_single_replica_hedge_always_goes_to_the_primary(self):
-        cluster = make_cluster(num_replicas=1)
-        answer = cluster.query(RangePredicate(0, 10_000), 4, mode="hedged")
-        assert answer == expected(40, 4)
-        assert cluster.stats.hedge_wins == 1
-
 
 class TestDivergenceAtReadTime:
     def test_quorum_counts_mismatches_and_the_primary_wins(self, cluster):
@@ -125,18 +95,16 @@ class TestGuardIntegration:
         assert cluster.stats.promotions == 1
         assert collector.collect(2).promotions == 1
 
-    def test_hedge_wins_and_scrub_repairs_surface_in_health(self, cluster):
+    def test_scrub_repairs_surface_in_health(self, cluster):
         guard = ResilientTopKIndex(cluster)
         collector = TelemetryCollector(guard=guard)
         cluster.primary.durable.insert(elem(990))  # durable follower lag
-        cluster.query(RangePredicate(0, 10_000), 3, mode="hedged")
         from test_antientropy import corrupt_snapshot_block
 
         victim = [r for r in cluster.replicas if not r.is_primary][0]
         corrupt_snapshot_block(victim)
         cluster.scrub()
         guard.query(RangePredicate(0, 10_000), 3)
-        assert cluster.stats.hedge_wins == 1
         assert cluster.stats.scrub_repairs == 1
         sample = collector.collect(1)
         assert sample.scrub_repairs == 1
