@@ -9,7 +9,7 @@ paper's query bounds carry.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional
 
 from repro.em.model import EMContext
 
@@ -74,60 +74,38 @@ class BlockArray:
     def __getitem__(self, index: int) -> object:
         return self.get(index)
 
-    def scan(self, start: int = 0, stop: Optional[int] = None) -> Iterator[object]:
-        """Yield records ``start..stop`` reading each covering block once."""
+    def chunks(self, start: int = 0, stop: Optional[int] = None) -> Iterator[List[object]]:
+        """Yield the slice of each block covering records ``start..stop``.
+
+        A block is read only when its slice is requested, so a consumer
+        that stops early pays for exactly the blocks it looked at.  A
+        slice that covers its whole block is the cached frame itself;
+        like :meth:`EMContext.read_block`'s result it is read-only.
+        """
         if stop is None:
             stop = self._length
         stop = min(stop, self._length)
         if start < 0 or start > stop:
             raise IndexError(f"invalid scan range [{start}, {stop})")
-        B = self.ctx.B
+        ctx = self.ctx
+        B = ctx.B
+        block_ids = self._block_ids
         index = start
         while index < stop:
             block_idx, offset = divmod(index, B)
-            block = self.ctx.read_block(self._block_ids[block_idx])
-            upper = min(stop - index + offset, len(block))
-            for record in block[offset:upper]:
-                yield record
+            # The layout, not the block read, says where the next block
+            # starts, so a block shortened by undetected corruption
+            # shortens the scan rather than stalling it.
+            upper = min(stop - index + offset, B)
+            block = ctx.read_block(block_ids[block_idx])
+            yield block if offset == 0 and upper == len(block) else block[offset:upper]
             index += upper - offset
 
-    def scan_until(self, predicate, start: int = 0) -> Iterator[object]:
-        """Yield records from ``start`` while ``predicate(record)`` holds.
-
-        Stops at (and does not yield) the first failing record.  This is
-        the access pattern of a prioritized query over a weight-descending
-        list: scan until the weight drops below ``tau``; the I/O cost is
-        one block per ``B`` reported records plus at most one extra block.
-        """
-        for record in self.scan(start):
-            if not predicate(record):
-                return
-            yield record
+    def scan(self, start: int = 0, stop: Optional[int] = None) -> Iterator[object]:
+        """Yield records ``start..stop`` reading each covering block once."""
+        for chunk in self.chunks(start, stop):
+            yield from chunk
 
     def to_list(self) -> List[object]:
         """Materialise the whole array (charges a full scan)."""
         return list(self.scan())
-
-    # ------------------------------------------------------------------
-    # Search (for arrays the caller keeps sorted)
-    # ------------------------------------------------------------------
-    def bisect_left(self, value, key=lambda record: record) -> int:
-        """Binary search over a key-ascending array; ``O(log_2 n)`` I/Os.
-
-        Returns the first index whose key is ``>= value``.  Callers that
-        need ``O(log_B n)`` searches should use :class:`repro.em.btree.BPlusTree`
-        instead; this helper exists for small auxiliary arrays.
-        """
-        lo, hi = 0, self._length
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if key(self.get(mid)) < value:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
-
-def block_array_from_sorted(ctx: EMContext, records: Sequence[object]) -> BlockArray:
-    """Bulk-load a :class:`BlockArray` from an already-ordered sequence."""
-    return BlockArray(ctx, records)

@@ -19,7 +19,7 @@ import re
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional, Set
 
 from repro.resilience.errors import (
     BlockOverflowError,
@@ -228,8 +228,9 @@ class EMContext:
         self.disk = disk if disk is not None else Disk()
         self.stats = IOStats()
         self.fault_plan: Optional[FaultPlan] = None
+        self._num_frames = M // B
         self._frames: "OrderedDict[int, List[object]]" = OrderedDict()
-        self._dirty: Dict[int, bool] = {}
+        self._dirty: Set[int] = set()
         if fault_plan is not None:
             self.attach_fault_plan(fault_plan)
 
@@ -262,7 +263,7 @@ class EMContext:
     @property
     def num_frames(self) -> int:
         """Number of memory frames available (``M // B``)."""
-        return self.M // self.B
+        return self._num_frames
 
     @property
     def machine(self) -> str:
@@ -275,21 +276,24 @@ class EMContext:
         The returned list must be treated as read-only; use
         :meth:`write_block` to mutate a block.
         """
-        if block_id in self._frames:
-            self._frames.move_to_end(block_id)
+        frames = self._frames
+        records = frames.get(block_id)
+        if records is not None:  # an empty block is a valid frame
+            frames.move_to_end(block_id)
             self.stats.cache_hits += 1
-            return self._frames[block_id]
+            return records
         # A failed or corrupted transfer still costs the I/O it attempted,
         # so retries are visible in the counters.
         self.stats.reads += 1
-        records = self.disk.raw_read(block_id)
+        disk = self.disk
+        records = disk.raw_read(block_id)
         if self.fault_plan is not None:
             records = self.fault_plan.on_read(block_id, records)
-        if not self.disk.verify(block_id, records):
+        if disk.checksums_enabled and not disk.verify(block_id, records):
             raise CorruptBlockError(
                 f"checksum mismatch reading block {block_id}", block_id=block_id
             )
-        self._install_frame(block_id, records, dirty=False)
+        self._install_frame(block_id, records)
         return records
 
     def write_block(self, block_id: int, records: List[object]) -> None:
@@ -305,9 +309,9 @@ class EMContext:
         if block_id in self._frames:
             self._frames[block_id] = records
             self._frames.move_to_end(block_id)
-            self._dirty[block_id] = True
-            return
-        self._install_frame(block_id, records, dirty=True)
+        else:
+            self._install_frame(block_id, records)
+        self._dirty.add(block_id)
 
     def allocate_block(self, records: Optional[List[object]] = None) -> int:
         """Allocate a fresh block, optionally writing initial contents."""
@@ -334,7 +338,7 @@ class EMContext:
         block that is dead by decree.
         """
         self._frames.pop(block_id, None)
-        self._dirty.pop(block_id, None)
+        self._dirty.discard(block_id)
 
     # ------------------------------------------------------------------
     # Analytic charging (for components modelled as sequential scans)
@@ -363,36 +367,39 @@ class EMContext:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _install_frame(self, block_id: int, records: List[object], dirty: bool) -> None:
-        while len(self._frames) >= self.num_frames:
-            victim, _ = next(iter(self._frames.items()))
-            self._evict(victim)
-        self._frames[block_id] = records
-        self._dirty[block_id] = dirty
+    def _install_frame(self, block_id: int, records: List[object]) -> None:
+        frames = self._frames
+        while len(frames) >= self._num_frames:
+            victim = next(iter(frames))
+            if victim in self._dirty:
+                self._evict(victim)
+            else:
+                del frames[victim]  # clean: the disk copy is current
+        frames[block_id] = records
 
     def _evict(self, block_id: int) -> None:
-        if self._dirty.get(block_id, False):
-            self.stats.writes += 1
-            if self.fault_plan is not None:
-                try:
-                    # Raises *before* the frame is dropped, so a failed
-                    # write-back loses nothing and a retry re-attempts it.
-                    self.fault_plan.on_write(block_id, self._frames[block_id])
-                except SimulatedCrash as crash:
-                    # The machine dies mid-write: a prefix of the block
-                    # may reach the disk (torn write); the frame — like
-                    # all volatile state — is lost with the machine.
-                    if crash.torn_keep is not None:
-                        self.disk.torn_write(
-                            block_id, self._frames[block_id], crash.torn_keep
-                        )
-                    self._frames.pop(block_id, None)
-                    self._dirty.pop(block_id, None)
-                    raise
-        records = self._frames.pop(block_id)
-        if self._dirty.pop(block_id, False):
-            self.disk.raw_write(block_id, records)
-        # Clean frames were never modified; the disk copy is current.
+        if block_id not in self._dirty:
+            del self._frames[block_id]  # clean: the disk copy is current
+            return
+        self.stats.writes += 1
+        if self.fault_plan is not None:
+            try:
+                # Raises *before* the frame is dropped, so a failed
+                # write-back loses nothing and a retry re-attempts it.
+                self.fault_plan.on_write(block_id, self._frames[block_id])
+            except SimulatedCrash as crash:
+                # The machine dies mid-write: a prefix of the block
+                # may reach the disk (torn write); the frame — like
+                # all volatile state — is lost with the machine.
+                if crash.torn_keep is not None:
+                    self.disk.torn_write(
+                        block_id, self._frames[block_id], crash.torn_keep
+                    )
+                self._frames.pop(block_id, None)
+                self._dirty.discard(block_id)
+                raise
+        self._dirty.discard(block_id)
+        self.disk.raw_write(block_id, self._frames.pop(block_id))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

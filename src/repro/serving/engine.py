@@ -179,7 +179,8 @@ class ServingEngine(TopKIndex):
     read_kwargs:
         Extra keyword arguments for every backend query of a
         non-sharded backend (e.g. ``mode="primary"`` for a replica-set
-        backend).
+        backend).  A sharded backend takes none: passing any raises
+        :class:`InvalidConfiguration`.
     brownout:
         ``None`` (disabled), a :class:`BrownoutPolicy`, or a
         pre-built :class:`BrownoutController`.  When set, every
@@ -253,6 +254,11 @@ class ServingEngine(TopKIndex):
         from repro.sharding.sharded import ShardedTopKIndex
 
         self._sharded = backend if isinstance(backend, ShardedTopKIndex) else None
+        if self._sharded is not None and self.read_kwargs:
+            raise InvalidConfiguration(
+                "read_kwargs apply only to a non-sharded backend, got "
+                f"{sorted(self.read_kwargs)} for a ShardedTopKIndex"
+            )
         if self._sharded is not None and self._pool_size > 0:
             self._pool = ThreadPoolExecutor(
                 max_workers=self._pool_size,
@@ -547,7 +553,8 @@ class ServingEngine(TopKIndex):
             # partitioned across the pool's workers and each worker
             # runs whole scatter-gathers (per-shard locks serialize
             # machine access), with every shard's probe-memo window
-            # open for the batch's duration.
+            # open for the batch's duration.  Off the partial rung the
+            # index's own ``allow_partial`` default decides.
             if self._pool is not None and len(groups) >= self.parallel_threshold:
                 with self.stats.lock:
                     self.stats.parallel_batches += 1
@@ -556,7 +563,9 @@ class ServingEngine(TopKIndex):
                 pool=self._pool,
                 parallel_threshold=self.parallel_threshold,
                 allow_partial=(
-                    self.brownout is not None and self.brownout.partial_ok
+                    True
+                    if self.brownout is not None and self.brownout.partial_ok
+                    else None
                 ),
             )
         window = getattr(self.backend, "batched", None)

@@ -152,7 +152,7 @@ class _SegmentTree:
 
     def _insort(self, key: Tuple[int, int], element: Element) -> None:
         lst = self.lists.setdefault(key, [])
-        bisect.insort(lst, element, key=lambda e: -e.weight)
+        lst.insert(_first_below(lst, element.weight), element)
 
     # -- query ------------------------------------------------------------
     def path_nodes(self, x: float) -> List[Tuple[Tuple[int, int], bool]]:
@@ -254,43 +254,56 @@ class SegmentTreeIntervalPrioritized(DynamicPrioritizedIndex):
     def query(
         self, predicate: StabbingPredicate, tau: float, limit: Optional[int] = None
     ) -> PrioritizedResult:
+        """Scan each path node's list one slice at a time down to ``tau``.
+
+        A slice is one block's share of the list in EM mode and the
+        whole list in RAM mode.  Lists are weight-descending, so the
+        records at or above ``tau`` are a prefix of each slice; the scan
+        reads the next block only while every record so far was kept
+        and the answer still fits ``limit``.
+        """
         x = predicate.x
+        ops = self.ops
         out: List[Element] = []
         for key, is_leaf in self._tree.path_nodes(x):
-            self.ops.node_visits += 1
+            ops.node_visits += 1
             if self.ctx is not None:
                 block_id = self._node_blocks.get(key)
                 if block_id is not None:
                     self.ctx.read_block(block_id)  # cached node metadata
-            for element in self._scan_list(key, tau):
-                if is_leaf and not self.interval_of(element).contains(x):
-                    continue
-                out.append(element)
-                if limit is not None and len(out) > limit:
+            for chunk in self._slices(key):
+                cut = _first_below(chunk, tau)
+                kept = chunk if cut == len(chunk) else chunk[:cut]
+                if is_leaf:
+                    # Leaf lists may hold partial assignments: check each.
+                    for element in kept:
+                        ops.scanned += 1
+                        if self.interval_of(element).contains(x):
+                            out.append(element)
+                            if limit is not None and len(out) > limit:
+                                return PrioritizedResult(out, truncated=True)
+                elif limit is not None and len(out) + len(kept) > limit:
+                    take = limit + 1 - len(out)
+                    ops.scanned += take
+                    out.extend(kept[:take])
                     return PrioritizedResult(out, truncated=True)
+                else:
+                    ops.scanned += cut
+                    out.extend(kept)
+                if cut < len(chunk):
+                    break  # reached tau: the rest of the list is lighter
         return PrioritizedResult(out, truncated=False)
 
-    def _scan_list(self, key: Tuple[int, int], tau: float):
-        """Scan one canonical list down to weight ``tau``."""
-        if self._blocks is not None:
-            segment = self._segments.get(key)
-            if segment is None:
-                return
-            offset, length = segment
-            for element in self._blocks.scan(offset, offset + length):
-                if element.weight < tau:
-                    return
-                self.ops.scanned += 1
-                yield element
-            return
-        lst = self._tree.lists.get(key)
-        if not lst:
-            return
-        for element in lst:
-            if element.weight < tau:
-                return
-            self.ops.scanned += 1
-            yield element
+    def _slices(self, key: Tuple[int, int]):
+        """The canonical list of ``key``: its block slices, or itself."""
+        if self._blocks is None:
+            lst = self._tree.lists.get(key)
+            return (lst,) if lst else ()
+        segment = self._segments.get(key)
+        if segment is None:
+            return ()
+        offset, length = segment
+        return self._blocks.chunks(offset, offset + length)
 
     # ------------------------------------------------------------------
     # Updates (RAM mode only)
@@ -639,6 +652,25 @@ class IntervalStabbingCounter(CountingIndex):
 
     def space_units(self) -> int:
         return self._tree.total_stored()
+
+
+def _first_below(records: Sequence[Element], weight: float) -> int:
+    """Index of the first record lighter than ``weight``.
+
+    ``records`` is weight-descending, so this is where a record of
+    ``weight`` is inserted after its equals, and the length of the
+    prefix a scan down to threshold ``weight`` keeps.
+    """
+    lo, hi = 0, len(records)
+    if hi and records[-1].weight >= weight:
+        return hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if records[mid].weight < weight:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def _endpoint_grid(elements: Sequence[Element], interval_of=None) -> List[float]:

@@ -1,11 +1,14 @@
 """Unit + property tests for BlockArray."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.em.blockarray import BlockArray
 from repro.em.model import EMContext
+from repro.resilience.faults import FaultPlan
 
 
 def ctx(B=4, M=8) -> EMContext:
@@ -65,13 +68,15 @@ class TestAccess:
         with pytest.raises(IndexError):
             list(arr.scan(4, 2))
 
-    def test_scan_until_stops_at_first_failure(self):
-        arr = BlockArray(ctx(), [5, 4, 3, 2, 1])
-        assert list(arr.scan_until(lambda v: v >= 3)) == [5, 4, 3]
+    def test_chunks_split_at_block_boundaries(self):
+        arr = BlockArray(ctx(B=4), range(14))
+        assert list(arr.chunks(2, 13)) == [[2, 3], [4, 5, 6, 7], [8, 9, 10, 11], [12]]
+        assert list(arr.chunks(4, 4)) == []
 
-    def test_scan_until_empty_prefix(self):
-        arr = BlockArray(ctx(), [1, 2, 3])
-        assert list(arr.scan_until(lambda v: v > 10)) == []
+    def test_chunks_invalid_range_raises(self):
+        arr = BlockArray(ctx(), range(5))
+        with pytest.raises(IndexError):
+            list(arr.chunks(4, 2))
 
 
 class TestIOCost:
@@ -91,6 +96,31 @@ class TestIOCost:
         list(arr.scan(0, 4))
         assert context.stats.reads == 1
 
+    def test_chunks_read_a_block_only_when_its_slice_is_requested(self):
+        context = ctx(B=4, M=8)
+        arr = BlockArray(context, range(40))
+        context.drop_cache()
+        context.stats.reset()
+        chunks = arr.chunks(2, 30)
+        assert context.stats.reads == 0
+        assert next(chunks) == [2, 3]
+        assert context.stats.reads == 1
+        assert next(chunks) == [4, 5, 6, 7]
+        assert context.stats.reads == 2
+        chunks.close()
+        assert context.stats.reads == 2
+
+    def test_undetected_dropped_record_shortens_the_scan(self):
+        context = ctx(B=4, M=8)
+        arr = BlockArray(context, range(5))  # the tail block holds one record
+        context.flush()
+        plan = FaultPlan(seed=1, corrupt_rate=1.0)
+        context.attach_fault_plan(plan, enable_checksums=False)
+        # islice bounds the scan, so a scan that stalls fails, not hangs.
+        chunks = list(itertools.islice(arr.chunks(), 3))
+        assert [len(chunk) for chunk in chunks] == [4, 0]
+        assert plan.stats.corruptions == 2
+
     def test_random_access_is_one_block(self):
         context = ctx(B=4, M=8)
         arr = BlockArray(context, range(40))
@@ -98,19 +128,6 @@ class TestIOCost:
         context.stats.reset()
         arr.get(17)
         assert context.stats.reads == 1
-
-
-class TestBisect:
-    def test_bisect_left_on_sorted(self):
-        arr = BlockArray(ctx(), [1, 3, 3, 5, 9])
-        assert arr.bisect_left(0) == 0
-        assert arr.bisect_left(3) == 1
-        assert arr.bisect_left(4) == 3
-        assert arr.bisect_left(10) == 5
-
-    def test_bisect_with_key(self):
-        arr = BlockArray(ctx(), [(1, "a"), (5, "b"), (9, "c")])
-        assert arr.bisect_left(5, key=lambda r: r[0]) == 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -134,3 +151,8 @@ def test_scan_slice_matches_list_slice(data, B, st_data):
     start = st_data.draw(st.integers(0, len(data)))
     stop = st_data.draw(st.integers(start, len(data)))
     assert list(arr.scan(start, stop)) == data[start:stop]
+    chunks = list(arr.chunks(start, stop))
+    assert [record for chunk in chunks for record in chunk] == data[start:stop]
+    # One non-empty slice per covering block.
+    assert all(chunks)
+    assert len(chunks) == (-(-stop // B) - start // B if stop > start else 0)

@@ -95,6 +95,14 @@ class TestCacheBehaviour:
         ctx.read_block(a)  # still cached
         assert ctx.stats.reads == 3
 
+    def test_empty_block_is_a_cached_frame(self):
+        ctx = EMContext(B=4, M=8)
+        bid = ctx.allocate_block()
+        ctx.stats.reset()
+        assert ctx.read_block(bid) == []
+        assert ctx.read_block(bid) == []
+        assert (ctx.stats.reads, ctx.stats.cache_hits) == (1, 1)
+
     def test_dirty_eviction_charges_a_write(self):
         ctx = EMContext(B=4, M=8)
         a = ctx.allocate_block([1])

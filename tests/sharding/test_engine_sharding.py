@@ -2,7 +2,10 @@
 
 import random
 
+import pytest
+
 from repro.ops.telemetry import TelemetryCollector
+from repro.resilience.errors import InvalidConfiguration, ShardUnavailable
 from repro.resilience.guard import GuardPolicy, ResilientTopKIndex
 from repro.serving.engine import ServingEngine
 
@@ -10,6 +13,7 @@ from oracles import oracle_top_k
 from sharding_util import (
     make_sharded,
     make_uniform_elements,
+    make_zipf_elements,
     random_predicate,
 )
 from toy import RangePredicate
@@ -99,6 +103,36 @@ class TestEngineOverShards:
             assert 0.0 < idx.stats.contact_ratio <= 1.0
             assert len(collector.collect(2).shards_alive) == 5
 
+    def test_index_partial_default_holds_off_the_partial_rung(self):
+        # An index built with allow_partial=True serves what the
+        # surviving shards hold; the engine, with no brownout ladder,
+        # must not override that default into ShardUnavailable.
+        elements = make_zipf_elements(48, seed=44)
+        idx = make_sharded(elements, num_shards=3, seed=44, allow_partial=True)
+        victim = idx.router.shard_for(max(elements, key=lambda e: e.weight))
+        victim.machine.mark_dead()
+
+        def refuse(shard, trace=None):
+            raise ShardUnavailable("durable record gone", shard=shard.name)
+
+        idx._recover_shard = refuse
+        surviving = [
+            e
+            for name, shard in idx.router.shards.items()
+            if name != victim.name
+            for e in shard.elements
+        ]
+        with ServingEngine(idx, pool_size=0, cache_capacity=0) as engine:
+            [answer] = engine.serve([(EVERYTHING, 10)])
+            assert answer == oracle_top_k(surviving, EVERYTHING, 10)
+            assert engine.last_drain_meta[-1].partial_suspect
+            assert engine.stats.partial_served == 1
+
+    def test_read_kwargs_rejected_for_sharded_backend(self):
+        idx = make_sharded(make_uniform_elements(16, seed=58), seed=58)
+        with pytest.raises(InvalidConfiguration, match="read_kwargs"):
+            ServingEngine(idx, read_kwargs={"mode": "primary"})
+
 
 class TestGuardOverShards:
     def test_guard_mirrors_sharding_health(self):
@@ -120,8 +154,6 @@ class TestGuardOverShards:
         assert len(sample.shards_alive) == idx.router.num_shards == 4
 
     def test_unavailable_shard_degrades_to_scan_rung(self):
-        from repro.resilience.errors import ShardUnavailable
-
         elements = make_uniform_elements(48, seed=57)
         idx = make_sharded(elements, num_shards=3, seed=57)
         guard = ResilientTopKIndex(

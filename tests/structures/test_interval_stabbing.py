@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import oracle_max, oracle_prioritized, sorted_desc
+from repro.core.interfaces import PrioritizedResult
 from repro.core.problem import Element
 from repro.em.model import EMContext
 from repro.geometry.primitives import Interval
@@ -289,3 +290,150 @@ def test_property_prioritized_and_max(objs, x, tau_rank, seed):
     )
     static = StaticIntervalStabbingMax(elements)
     assert static.query(predicate) == oracle_max(elements, predicate)
+
+
+# ----------------------------------------------------------------------
+# The block-at-a-time scan against the record-at-a-time scan it replaced
+# ----------------------------------------------------------------------
+def record_at_a_time_query(index, predicate, tau, limit=None):
+    """The oracle: one record per step, each block read on first touch."""
+    x = predicate.x
+    out = []
+    for key, is_leaf in index._tree.path_nodes(x):
+        index.ops.node_visits += 1
+        if index.ctx is not None:
+            block_id = index._node_blocks.get(key)
+            if block_id is not None:
+                index.ctx.read_block(block_id)
+        for element in _scan_list(index, key, tau):
+            if is_leaf and not index.interval_of(element).contains(x):
+                continue
+            out.append(element)
+            if limit is not None and len(out) > limit:
+                return PrioritizedResult(out, truncated=True)
+    return PrioritizedResult(out, truncated=False)
+
+
+def _scan_list(index, key, tau):
+    if index._blocks is not None:
+        segment = index._segments.get(key)
+        if segment is None:
+            return
+        offset, length = segment
+        for element in _scan_records(index._blocks, offset, offset + length):
+            if element.weight < tau:
+                return
+            index.ops.scanned += 1
+            yield element
+        return
+    for element in index._tree.lists.get(key) or ():
+        if element.weight < tau:
+            return
+        index.ops.scanned += 1
+        yield element
+
+
+def _scan_records(array, start, stop):
+    B = array.ctx.B
+    position = start
+    while position < stop:
+        block_idx, offset = divmod(position, B)
+        block = array.ctx.read_block(array._block_ids[block_idx])
+        upper = min(stop - position + offset, len(block))
+        for record in block[offset:upper]:
+            yield record
+        position += upper - offset
+
+
+def _draw_query(data, index, B):
+    """A stabbing point, a threshold and a limit aimed at block edges."""
+    # On an endpoint, just inside or outside one, or anywhere.
+    ends = [end for e in index._tree.assignments for end in (e.obj.lo, e.obj.hi)]
+    x = data.draw(st.integers(-8, 220)) / 4
+    if ends and data.draw(st.booleans()):
+        x = data.draw(st.sampled_from(ends)) + data.draw(st.sampled_from([0, 0.25, -0.25]))
+    edges = {"first": [], "above_first": [], "last": []}
+    for key, _ in index._tree.path_nodes(x):
+        lst = index._tree.lists.get(key)
+        if not lst:
+            continue
+        # The slice edges of this list: block edges in EM mode, the
+        # list's own ends in RAM mode.
+        offset = index._segments[key][0] if index._blocks is not None else 0
+        width = B if index._blocks is not None else len(lst)
+        for position, element in enumerate(lst):
+            absolute = offset + position
+            if position == 0 or absolute % width == 0:
+                edges["first"].append(element.weight)
+                edges["above_first"].append(element.weight + 0.5)
+            if position == len(lst) - 1 or (absolute + 1) % width == 0:
+                edges["last"].append(element.weight)
+    kind = data.draw(st.sampled_from(["-inf", "first", "above_first", "last"]))
+    tau = data.draw(st.sampled_from(edges[kind])) if edges.get(kind) else -math.inf
+    limit = data.draw(st.sampled_from([None, 0, 1, B - 1, B, B + 1, "random"]))
+    if limit == "random":
+        limit = data.draw(st.integers(0, 3 * B))
+    return StabbingPredicate(x), tau, limit
+
+
+def _intervals(spans, order):
+    return [
+        Element(Interval(lo, lo + width), float(weight))
+        for (lo, width), weight in zip(spans, order)
+    ]
+
+
+span_lists = st.integers(1, 80).flatmap(
+    lambda n: st.lists(
+        st.tuples(st.integers(0, 50), st.integers(0, 12)), min_size=n, max_size=n
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spans=span_lists,
+    B=st.sampled_from([2, 3, 4, 16]),
+    frames=st.sampled_from([2, 4]),
+    data=st.data(),
+)
+def test_block_loop_matches_record_scan_em(spans, B, frames, data):
+    """Same answers, op counts and I/Os, query after query, one cache."""
+    elements = _intervals(spans, data.draw(st.permutations(range(len(spans)))))
+    ctx = EMContext(B=B, M=frames * B)
+    twin_ctx = EMContext(B=B, M=frames * B)
+    index = SegmentTreeIntervalPrioritized(elements, ctx=ctx)
+    twin = SegmentTreeIntervalPrioritized(elements, ctx=twin_ctx)
+    for _ in range(data.draw(st.integers(1, 8))):
+        predicate, tau, limit = _draw_query(data, index, B)
+        got = index.query(predicate, tau, limit)
+        want = record_at_a_time_query(twin, predicate, tau, limit)
+        assert got.elements == want.elements
+        assert got.truncated == want.truncated
+        assert index.ops == twin.ops
+        assert ctx.stats == twin_ctx.stats
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spans=span_lists,
+    extra=st.lists(st.tuples(st.integers(0, 50), st.integers(0, 12)), max_size=10),
+    B=st.sampled_from([2, 3, 4, 16]),
+    data=st.data(),
+)
+def test_block_loop_matches_record_scan_ram(spans, extra, B, data):
+    """RAM mode, with off-grid inserts that leave partial leaf lists."""
+    elements = _intervals(spans, data.draw(st.permutations(range(len(spans)))))
+    index = SegmentTreeIntervalPrioritized(elements)
+    twin = SegmentTreeIntervalPrioritized(elements)
+    for i, (lo, width) in enumerate(extra):
+        element = Element(Interval(lo + 0.5, lo + width + 0.5), len(spans) + i + 0.5)
+        index.insert(element)
+        twin.insert(element)
+    for _ in range(data.draw(st.integers(1, 8))):
+        predicate, tau, limit = _draw_query(data, index, B)
+        got = index.query(predicate, tau, limit)
+        want = record_at_a_time_query(twin, predicate, tau, limit)
+        assert got.elements == want.elements
+        assert got.truncated == want.truncated
+        assert index.ops == twin.ops
