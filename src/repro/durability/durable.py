@@ -224,8 +224,10 @@ class DurableTopKIndex(TopKIndex):
         """Apply committed-but-unapplied records from this replica's WAL.
 
         Reads the ``(applied_lsn, committed_lsn]`` tail back from the
-        *durable* log (charging durability I/O — the deferred apply path
-        really does re-read its own disk) and applies it idempotently.
+        *durable* log and applies it idempotently.  The read charges
+        durability I/O only for the blocks committed since the chain was
+        last read: the store's read cursor holds every group it already
+        verified.
         A promoted follower runs this before admitting writes; reads
         with freshness bounds run it to catch a lagging replica up.
         Returns the number of records applied.

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.em.model import Disk, EMContext, block_checksum, stable_repr
 from repro.resilience.errors import (
@@ -63,6 +63,7 @@ from repro.resilience.errors import (
 FORMAT_VERSION = 1
 _ANCHOR_BLOCKS = (0, 1)
 _MANI_KIND = "MANI"
+_Cursor = TypeVar("_Cursor")
 
 
 def seal(payload: Sequence[object]) -> List[object]:
@@ -180,6 +181,8 @@ class DurableStore:
         # head -> block ids of every chain this store wrote or mounted,
         # the pre-allocated open tail included.
         self._chains: Dict[int, List[int]] = {}
+        # head -> the read cursor of a recorded chain (chain_cursor).
+        self._cursors: Dict[int, Any] = {}
         self._free: List[int] = []
         self._limbo: List[int] = []
         if _format:
@@ -296,6 +299,23 @@ class DurableStore:
         """
         if head is not None:
             self._limbo.extend(self._chains.pop(head))
+            self._cursors.pop(head, None)
+
+    def chain_cursor(self, head: int, start: Callable[[int], _Cursor]) -> _Cursor:
+        """The read cursor of the chain at ``head``; ``start(head)`` makes one.
+
+        A cursor is kept only while the chain is recorded (written or
+        mounted by this store): its blocks cannot be recycled before
+        :meth:`retire_chain` or :meth:`compact` drops the chain and the
+        cursor with it.  Any other head gets a fresh cursor per call.  A
+        reboot (:meth:`open`) starts with none.
+        """
+        cursor = self._cursors.get(head)
+        if cursor is None:
+            cursor = start(head)
+            if head in self._chains:
+                self._cursors[head] = cursor
+        return cursor
 
     # ------------------------------------------------------------------
     # Root publication
@@ -357,6 +377,9 @@ class DurableStore:
         # from the chain records: compaction destroys every block it
         # does not reach, so it trusts only what a mount would see.
         self._chains = {head: self._chain_blocks(head) for head in self._root_heads()}
+        self._cursors = {
+            head: cursor for head, cursor in self._cursors.items() if head in self._chains
+        }
         self._reset_free_pool()
         for block_id in self._free:
             self.ctx.disk.discard(block_id)

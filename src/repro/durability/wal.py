@@ -11,12 +11,18 @@ EM simulator's block granularity:
   blocks and flushes.  Blocks already sealed are never rewritten, so a
   torn write can only damage the group being committed, never one that
   was previously durable;
-* **replay** walks the chain from the head recorded in the root,
+* **replay** reads the chain from the head recorded in the root,
   stops cleanly at the first unreadable block (the pre-allocated open
   tail on a clean shutdown; the torn block after a crash), and applies
   only *complete* groups — op records with no following valid COMMIT
   marker are discarded, exactly as an interrupted transaction should
   be;
+* **reading is incremental**: :func:`read_committed` keeps one cursor
+  per chain in the store, so a ship or a lazy replay reads only the
+  blocks committed since the last read of that chain — t new records
+  cost O(1 + t/B) block reads, not a walk of the whole chain.  Sealed
+  blocks are never rewritten, so the groups a cursor verified stay
+  valid until truncation retires the chain (and its cursor);
 * **truncation** (at checkpoint) starts a new chain and retires the
   old one, whose blocks are recycled once the root commit lands.
 
@@ -28,6 +34,7 @@ state) skips the duplicate records — replaying twice is a no-op.
 from __future__ import annotations
 
 import zlib
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -193,81 +200,117 @@ class WriteAheadLog:
         self.store.retire_chain(old_head)
 
 
+class _ChainCursor:
+    """How far :func:`read_committed` has read one chain, and what it found.
+
+    ``block_id``/``seq`` name the next block to read and the sequence
+    number its header must carry; ``pending`` holds the op records of a
+    group whose ``COMMIT`` marker has not been read yet; ``groups`` holds
+    every committed group read so far, decoded once, and ``markers`` their
+    marker LSNs (strictly rising: a chain's LSNs are).  ``block_id`` is
+    ``None`` once the chain ends for good: a header points nowhere, or a
+    record or marker is damaged.
+    """
+
+    __slots__ = ("block_id", "seq", "pending", "groups", "markers")
+
+    def __init__(self, head: int) -> None:
+        self.block_id: Optional[int] = head
+        self.seq = 0
+        self.pending: List[Tuple] = []
+        self.groups: List[List[WALRecord]] = []
+        self.markers: List[int] = []
+
+    def advance(self, store: DurableStore) -> None:
+        """Read and parse every block past the last one parsed.
+
+        Stops *before* the first unreadable block, so the next call
+        retries it: usually the pre-allocated open tail, which a later
+        commit seals.  An exception from a read leaves the cursor after
+        the last block it parsed.
+        """
+        while self.block_id is not None:
+            try:
+                payload = store.read_sealed(self.block_id)
+            except SnapshotIntegrityError:
+                return  # open tail or torn block: the log ends here, for now
+            header = payload[0] if payload else None
+            if not (
+                isinstance(header, tuple)
+                and len(header) == 3
+                and header[0] == _CHAIN_KIND
+                and header[1] == self.seq
+            ):
+                return
+            self.seq += 1
+            self.block_id = header[2] if self._parse(payload[1:]) else None
+
+    def _parse(self, records: List[object]) -> bool:
+        """Fold one block's records in; ``False`` once the log is damaged."""
+        for record in records:
+            if not isinstance(record, tuple) or not record:
+                return False
+            if record[0] == "OP" and len(record) == 4:
+                self.pending.append(record)
+            elif record[0] == "COMMIT" and len(record) == 3:
+                _, marker_lsn, crc = record
+                pending, self.pending = self.pending, []
+                if not (
+                    pending
+                    and marker_lsn == pending[-1][1]
+                    and crc == _group_crc(pending)
+                ):
+                    # A commit marker that does not match its group means
+                    # the log is damaged beyond this point; stop
+                    # conservatively (the group is dropped, not discarded).
+                    return False
+                self.groups.append(
+                    [WALRecord(lsn, op, decode(enc)) for _, lsn, op, enc in pending]
+                )
+                self.markers.append(marker_lsn)
+            else:
+                return False
+        return True
+
+
 def read_committed(
     store: DurableStore, head: Optional[int], after_lsn: int = 0
 ) -> Tuple[List[List[WALRecord]], int]:
     """All complete committed groups of a chain, plus records discarded.
 
-    Walks sealed blocks from ``head``; the first unreadable block —
-    pre-allocated open tail, torn write, damaged seal, broken header —
-    ends the log.  Trailing op records without a valid COMMIT marker
-    (an interrupted group) are discarded and counted.
+    The chain is read from ``head`` through sealed blocks; the first
+    unreadable block — pre-allocated open tail, torn write, damaged
+    seal, broken header — ends the log.  Trailing op records without a
+    valid COMMIT marker (an interrupted group) are discarded and
+    counted.
 
-    ``after_lsn`` makes the read *incremental*: records with LSN
-    ``<= after_lsn`` are filtered out without being decoded, and groups
-    that fall entirely at or below the watermark are skipped.  This is
-    the tail a replication follower fetches on every ship — calling
-    again with the last LSN it acknowledged resumes exactly where the
-    previous ship stopped, including across a torn tail (the torn group
-    was never committed, so it is never shipped, and re-appears in a
-    later read once its re-commit lands).  Group CRCs are verified over
-    the *full* group regardless of the watermark.
+    Each chain is read once: the store keeps a cursor per chain (see
+    :meth:`DurableStore.chain_cursor`), so a call reads only the blocks
+    past where the previous call stopped — the retried unreadable block
+    first — and verifies and decodes each group once.  The answer is the
+    one a walk from ``head`` would give, because sealed chain blocks are
+    never rewritten while the chain is live.
+
+    ``after_lsn`` makes the read *incremental*: groups whose marker is
+    at or below the watermark are left out, as are records at or below
+    it inside the first group returned.  This is the tail a replication
+    follower fetches on every ship — calling again with the last LSN it
+    acknowledged resumes exactly where the previous ship stopped,
+    including across a torn tail (the torn group was never committed, so
+    it is never shipped, and re-appears in a later read once its
+    re-commit lands).  Group CRCs are verified over the *full* group
+    regardless of the watermark.  Every call returns fresh lists.
     """
     if head is None:
         return [], 0
-    raw: List[Tuple] = []
-    block_id: Optional[int] = head
-    expect_seq = 0
-    while block_id is not None:
-        try:
-            payload = store.read_sealed(block_id)
-        except SnapshotIntegrityError:
-            break  # open tail or torn block: the log ends here
-        if not payload:
-            break
-        header = payload[0]
-        if not (
-            isinstance(header, tuple)
-            and len(header) == 3
-            and header[0] == _CHAIN_KIND
-            and header[1] == expect_seq
-        ):
-            break
-        raw.extend(payload[1:])
-        block_id = header[2]
-        expect_seq += 1
-
-    groups: List[List[WALRecord]] = []
-    pending: List[Tuple] = []
-    for record in raw:
-        if not isinstance(record, tuple) or not record:
-            break
-        if record[0] == "OP" and len(record) == 4:
-            pending.append(record)
-        elif record[0] == "COMMIT" and len(record) == 3:
-            _, marker_lsn, crc = record
-            if (
-                pending
-                and marker_lsn == pending[-1][1]
-                and crc == _group_crc(pending)
-            ):
-                if marker_lsn > after_lsn:
-                    groups.append(
-                        [
-                            WALRecord(lsn, op, decode(enc))
-                            for _, lsn, op, enc in pending
-                            if lsn > after_lsn
-                        ]
-                    )
-                pending = []
-            else:
-                # A commit marker that does not match its group means the
-                # log is damaged beyond this point; stop conservatively.
-                pending = []
-                break
-        else:
-            break
-    return groups, len(pending)
+    cursor = store.chain_cursor(head, _ChainCursor)
+    cursor.advance(store)
+    first = bisect_right(cursor.markers, after_lsn)
+    groups = [
+        [record for record in group if record.lsn > after_lsn]
+        for group in cursor.groups[first:]
+    ]
+    return groups, len(cursor.pending)
 
 
 __all__ = [

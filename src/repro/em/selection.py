@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from operator import attrgetter
 from typing import Callable, Iterable, List, Optional
 
 from repro.core.columnar import DescendingElements
@@ -31,18 +32,30 @@ def select_top_k(
 ) -> List[object]:
     """Return the ``k`` records of largest weight, heaviest first.
 
-    Runs in ``O(m log k)`` time via a bounded heap — within the paper's
-    ``O(m)`` budget for all uses here (``k <= m``), and cache-friendly.
-    Returns all records (sorted) when ``k >= m``.
+    Records that carry ``.weight`` are ranked by a sort keyed on the
+    attribute in C, with no Python call per record.  A probe's
+    candidates arrive as one weight-descending run per path node, and
+    Timsort merges those runs: ``O(m log r)`` for ``r`` runs.  Plain
+    numbers, and records ranked by an explicit ``weight``, use the same
+    sort with a Python key.  Equal weights keep their input order, as
+    ``heapq.nlargest`` does.  Returns all records (sorted) when
+    ``k >= m``.
     """
     if k <= 0:
         return []
-    if weight is None and isinstance(records, DescendingElements):
+    if weight is not None:
+        return sorted(records, key=weight, reverse=True)[:k]
+    if isinstance(records, DescendingElements):
         # Columnar candidates arrive already in strictly descending
-        # weight order; selection is a slice, not a heap.
+        # weight order; selection is a slice, not a sort.
         return list(records[:k])
-    weight = weight if weight is not None else _as_weight
-    return heapq.nlargest(k, records, key=weight)
+    if not isinstance(records, list):
+        records = list(records)
+    try:
+        ranked = sorted(records, key=_BY_WEIGHT, reverse=True)
+    except AttributeError:  # plain numbers (or a mix) rank by value
+        ranked = sorted(records, key=_as_weight, reverse=True)
+    return ranked[:k]
 
 
 def select_top_k_blocked(
@@ -123,6 +136,9 @@ def _sample_pivot(
         if rng.randrange(seen) == 0:
             reservoir = w
     return reservoir
+
+
+_BY_WEIGHT = attrgetter("weight")
 
 
 def _as_weight(record: object) -> float:

@@ -16,12 +16,15 @@ Five scripted scenarios cover the failure families PRs 1–5 made
 injectable (:data:`DEFAULT_SCENARIOS`):
 
 ``fault_storm``
-    Moderate read+write fault rates on the **primary**.  Storms are a
-    race the reactive layer always wins: each ship retry re-reads the
-    WAL chain, so even moderate rates accumulate a condemnation streak
-    within one query batch and the primary dies mid-tick.  The
-    operator's job here is *restoring redundancy* — blame the dead
-    machine, reboot it from disk.
+    Moderate read+write fault rates on the **primary**.  A ship reads
+    only the WAL blocks no earlier ship read, so the stormy primary
+    makes a few transfers per tick and its fault streak stays short of
+    condemnation.  The control plane's ``fault_spike`` rule fires the
+    tick after injection, and ``force_failover`` moves the primary role
+    off the machine.  The demoted machine keeps faulting as a follower
+    until the cluster's streak condemns it; the ``replica_down``
+    incident that opens is closed by a reboot from disk, which restores
+    redundancy.
 ``brownout``
     Injected read/write **latency** on the primary — no faults are
     raised, so the streak policy never sees it and the machine stays
@@ -38,9 +41,11 @@ injectable (:data:`DEFAULT_SCENARIOS`):
     immediately and ``recover_shard`` reboots it **off the query
     path** — the reactive in-query ladder never has to fire.
 ``slow_drip``
-    Low-probability read corruption on a follower.  Per-tick thresholds
-    never fire; the sliding-window rule accumulates, and the ladder
-    runs scrub → reboot (a scrub repair would *inherit* the corrupting
+    Read corruption on a follower that reads only a few durable blocks
+    per tick (its lazy replays read only new WAL blocks), so about one
+    read per tick comes back corrupted.  Per-tick thresholds never
+    fire; the sliding-window rule accumulates, and the ladder runs
+    scrub → reboot (a scrub repair would *inherit* the corrupting
     environment; adoption on reboot attaches a fresh, disarmed plan —
     the reboot is what actually stops the drip).
 
@@ -119,7 +124,7 @@ DEFAULT_SCENARIOS: Tuple[ScenarioSpec, ...] = (
     ),
     ScenarioSpec(
         name="drip-corruption", kind=KIND_SLOW_DRIP, target="replica-1",
-        corrupt_rate=0.25, ticks=22, seed=404,
+        corrupt_rate=0.4, ticks=22, seed=404,
     ),
 )
 

@@ -1,15 +1,26 @@
 """Write-ahead log: group commit, torn tails, idempotent replay."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.problem import Element
-from repro.durability.store import DurableStore
+from repro.durability.codec import decode
+from repro.durability.store import DurableStore, seal, unseal
 from repro.durability.wal import (
     OP_DELETE,
     OP_INSERT,
+    WALRecord,
     WriteAheadLog,
+    _group_crc,
     read_committed,
 )
+from repro.resilience.errors import (
+    SimulatedCrash,
+    SnapshotIntegrityError,
+    TransientIOError,
+)
+from repro.resilience.faults import FaultPlan
 
 
 def elements(n, offset=0):
@@ -281,3 +292,388 @@ class TestAppliedLsn:
         assert wal.committed_lsn == 40
         assert wal.applied_lsn == 40
         assert wal.append(OP_INSERT, Element(1, 1.0)) == 41
+
+
+# ----------------------------------------------------------------------
+# The read cursor: every read answers what a walk from the head answers
+# ----------------------------------------------------------------------
+def walk_from_head(read_sealed, head, after_lsn=0):
+    """The WAL reader without a cursor: a full walk from ``head``.
+
+    Kept verbatim (bar the ``read_sealed`` parameter) as the oracle the
+    cursor must agree with after any sequence of commits and reads.
+    """
+    if head is None:
+        return [], 0
+    raw = []
+    block_id = head
+    expect_seq = 0
+    while block_id is not None:
+        try:
+            payload = read_sealed(block_id)
+        except SnapshotIntegrityError:
+            break
+        if not payload:
+            break
+        header = payload[0]
+        if not (
+            isinstance(header, tuple)
+            and len(header) == 3
+            and header[0] == "WAL"
+            and header[1] == expect_seq
+        ):
+            break
+        raw.extend(payload[1:])
+        block_id = header[2]
+        expect_seq += 1
+
+    groups = []
+    pending = []
+    for record in raw:
+        if not isinstance(record, tuple) or not record:
+            break
+        if record[0] == "OP" and len(record) == 4:
+            pending.append(record)
+        elif record[0] == "COMMIT" and len(record) == 3:
+            _, marker_lsn, crc = record
+            if (
+                pending
+                and marker_lsn == pending[-1][1]
+                and crc == _group_crc(pending)
+            ):
+                if marker_lsn > after_lsn:
+                    groups.append(
+                        [
+                            WALRecord(lsn, op, decode(enc))
+                            for _, lsn, op, enc in pending
+                            if lsn > after_lsn
+                        ]
+                    )
+                pending = []
+            else:
+                pending = []
+                break
+        else:
+            break
+    return groups, len(pending)
+
+
+def peek(store, horizon=None):
+    """``read_sealed`` over what ``store`` would read now, with no transfer.
+
+    Serves the cached frame if there is one (a faulted commit's blocks
+    wait there, dirty), else the disk copy; no fault fires and no
+    counter moves.  ``horizon`` makes every block past the first
+    ``horizon`` read unreadable.
+    """
+    served = []
+
+    def read_sealed(block_id):
+        if horizon is not None and len(served) >= horizon:
+            raise SnapshotIntegrityError("past the horizon")
+        served.append(block_id)
+        disk = store.ctx.disk
+        if block_id >= disk.num_blocks:
+            raise SnapshotIntegrityError("never allocated")
+        records = store.ctx._frames.get(block_id)
+        if records is None:
+            records = disk.raw_read(block_id)
+            if not disk.verify(block_id, records):
+                raise SnapshotIntegrityError("checksum")
+        return unseal(records, block_id=block_id)
+
+    return read_sealed
+
+
+def publish(store, wal):
+    store.wal_head = wal.head
+    store.commit_root()
+
+
+class _Machine:
+    """One store + log under a fault plan; a crash reboots it from disk."""
+
+    B = 4  # two payload records per chain block: groups span blocks
+
+    def __init__(self, rates, seed):
+        self.rates = rates
+        self.seed = seed
+        self.store = DurableStore(B=self.B)
+        self.wal = WriteAheadLog(self.store)
+        publish(self.store, self.wal)
+        self._attach_plan()
+        self.next_id = 0
+
+    def _attach_plan(self):
+        self.seed += 1
+        self.plan = FaultPlan(seed=self.seed, **self.rates)
+        self.store.ctx.attach_fault_plan(self.plan)
+
+    def commit(self, size, damage=None):
+        for _ in range(size):
+            self.next_id += 1
+            op = OP_DELETE if self.next_id % 3 == 0 else OP_INSERT
+            self.wal.append(op, Element(self.next_id, float(self.next_id)))
+        self.wal.commit()
+        if damage is not None:
+            self._damage_marker(damage)
+
+    def _damage_marker(self, damage):
+        """Re-seal the block holding the newest marker with it damaged.
+
+        Called right after a commit completed, so no read has parsed
+        the group yet and the flushed cache holds no copy of the block.
+        """
+        disk = self.store.disk
+        marker_lsn = self.wal.committed_lsn
+        for block_id in self.store._chains[self.wal.head]:
+            try:
+                payload = unseal(disk.raw_read(block_id))
+            except SnapshotIntegrityError:
+                continue
+            for i, record in enumerate(payload):
+                if record[:2] == ("COMMIT", marker_lsn):
+                    payload[i] = (
+                        ("COMMIT", marker_lsn, record[2] ^ 1)
+                        if damage == "crc"
+                        else "junk"
+                    )
+                    disk.raw_write(block_id, seal(payload))
+                    return
+
+    def truncate(self):
+        self.plan.disarm()
+        self.wal.commit()  # finish a group a write fault interrupted
+        self.wal.truncate()
+        publish(self.store, self.wal)
+        self.plan.arm()
+
+    def reboot(self):
+        """Mount the surviving disk, check its log, start a fresh one."""
+        store = DurableStore.open(self.store.disk, B=self.B)
+        assert read_committed(store, store.wal_head) == walk_from_head(
+            peek(store), store.wal_head
+        )
+        store.retire_chain(store.wal_head)
+        self.store = store
+        self.wal = WriteAheadLog(store, next_lsn=self.wal.next_lsn)
+        publish(store, self.wal)
+        self._attach_plan()
+
+
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("commit"),
+            st.integers(1, 7),
+            st.sampled_from([None] * 4 + ["crc", "record"]),
+        ),
+        st.tuples(
+            st.just("read"),
+            st.sampled_from(["zero", "mid", "tip"]),
+            st.integers(0, 10**6),
+        ),
+        st.tuples(st.just("crash"), st.integers(1, 4)),
+        st.tuples(st.just("truncate")),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+class TestReadCursor:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        steps=_STEPS,
+        write_fail_rate=st.sampled_from([0.0, 0.3]),
+        read_fail_rate=st.sampled_from([0.0, 0.2]),
+        corrupt_rate=st.sampled_from([0.0, 0.3]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_every_read_matches_a_walk_from_the_head(
+        self, steps, write_fail_rate, read_fail_rate, corrupt_rate, seed
+    ):
+        machine = _Machine(
+            dict(
+                write_fail_rate=write_fail_rate,
+                read_fail_rate=read_fail_rate,
+                corrupt_rate=corrupt_rate,
+            ),
+            seed,
+        )
+        for step in steps:
+            try:
+                if step[0] == "commit":
+                    machine.commit(*step[1:])
+                elif step[0] == "crash":
+                    machine.plan.schedule_crash(at_io=step[1])
+                elif step[0] == "truncate":
+                    machine.truncate()
+                else:
+                    self._read_and_check(machine, *step[1:])
+            except TransientIOError:
+                continue  # the next commit resumes; the next read retries
+            except SimulatedCrash:
+                machine.reboot()
+
+    @staticmethod
+    def _read_and_check(machine, where, draw):
+        store, head = machine.store, machine.wal.head
+        after_lsn = {
+            "zero": 0,
+            "mid": draw % (machine.wal.last_lsn + 1),
+            "tip": machine.wal.committed_lsn,
+        }[where]
+        corruptions = machine.plan.stats.corruptions
+        got = read_committed(store, head, after_lsn)
+        walk = lambda horizon=None: walk_from_head(
+            peek(store, horizon), head, after_lsn
+        )
+        if machine.plan.stats.corruptions == corruptions:
+            assert got == walk()
+        else:
+            # A corrupted transfer ends this read at the block it hit,
+            # as it would end a walk that reached that block.
+            blocks = len(store._chain_blocks(head))
+            assert got in [walk(horizon) for horizon in range(blocks + 1)]
+
+    def test_a_read_reads_only_blocks_committed_since_the_last(self):
+        store = DurableStore(B=8)
+        wal = WriteAheadLog(store)
+        reads = store.ctx.stats
+
+        def read_cost():
+            before = reads.reads
+            read_committed(store, wal.head)
+            return reads.reads - before
+
+        for batch in range(3):
+            for element in elements(4, offset=10 * batch):
+                wal.append(OP_INSERT, element)
+            wal.commit()
+        assert read_cost() == 4  # three group blocks, then the open tail
+        assert read_cost() == 0  # nothing new: the empty tail is cached
+        for growth in range(20):
+            wal.append(OP_INSERT, Element(100 + growth, 100.0 + growth))
+            wal.commit()
+            assert read_cost() == 2  # the new block and the new open tail
+
+    def test_a_recycled_head_reads_only_its_own_chain(self):
+        store = DurableStore(B=8)
+        wal = WriteAheadLog(store)
+        publish(store, wal)
+        for element in elements(6):
+            wal.append(OP_INSERT, element)
+            wal.commit()
+        old_head = wal.head
+        assert len(read_committed(store, old_head)[0]) == 6
+        wal.truncate()
+        publish(store, wal)  # the old chain's blocks join the free pool
+        successor = WriteAheadLog(store, next_lsn=wal.next_lsn)
+        assert successor.head == old_head  # recycled, wiped on reuse
+        successor.append(OP_INSERT, Element(50, 50.0))
+        successor.commit()
+        groups, discarded = read_committed(store, old_head)
+        assert [[r.lsn for r in g] for g in groups] == [[7]]
+        assert (groups, discarded) == walk_from_head(peek(store), old_head)
+
+    @pytest.mark.parametrize("lost_by", ["reboot", "compaction"])
+    def test_a_head_the_store_no_longer_records_is_read_afresh(self, lost_by):
+        store = DurableStore(B=8)
+        wal = WriteAheadLog(store)  # never published in a root
+        for element in elements(3):
+            wal.append(OP_INSERT, element)
+            wal.commit()
+        if lost_by == "reboot":
+            store = reopened(store)  # mounts no record of the chain
+        assert len(read_committed(store, wal.head)[0]) == 3
+        if lost_by == "compaction":
+            store.compact()  # discards the unreferenced chain
+        for _ in range(store.free_blocks):  # allocate up to the freed head
+            successor = WriteAheadLog(store, next_lsn=wal.next_lsn)
+            if successor.head == wal.head:
+                break
+        assert successor.head == wal.head
+        successor.append(OP_INSERT, Element(50, 50.0))
+        successor.commit()
+        groups, _ = read_committed(store, wal.head)
+        assert [[r.lsn for r in g] for g in groups] == [[4]]
+
+    def test_a_block_failing_its_header_check_is_retried(self):
+        store = DurableStore(B=8)
+        wal = WriteAheadLog(store)
+        wal.append(OP_INSERT, Element(1, 1.0))
+        wal.commit()
+        # A stale sealed block squats on the open tail: the read stops
+        # there, and resumes once the next commit overwrites it.
+        tail = store._chains[wal.head][-1]
+        store.disk.raw_write(tail, seal([("WAL", 7, None), ("junk",)]))
+        assert read_committed(store, wal.head) == walk_from_head(
+            peek(store), wal.head
+        )
+        wal.append(OP_INSERT, Element(2, 2.0))
+        wal.commit()
+        groups, _ = read_committed(store, wal.head)
+        assert [[r.lsn for r in g] for g in groups] == [[1], [2]]
+
+    @pytest.mark.parametrize(
+        "marker, discarded",
+        [
+            ("junk", 3),  # a damaged record: the group's ops are discarded
+            (("COMMIT", 3, 0), 0),  # a marker failing its CRC: dropped
+        ],
+        ids=["damaged-record", "crc-mismatch"],
+    )
+    def test_damage_stops_every_read_at_the_same_place(self, marker, discarded):
+        store = DurableStore(B=8)
+        wal = WriteAheadLog(store)
+        for element in elements(3):
+            wal.append(OP_INSERT, element)
+        wal.commit()
+        block = store._chains[wal.head][0]
+        payload = unseal(store.disk.raw_read(block))
+        payload[-1] = marker
+        store.disk.raw_write(block, seal(payload))
+        for growth in range(3):
+            assert read_committed(store, wal.head) == ([], discarded)
+            wal.append(OP_INSERT, Element(10 + growth, 10.0 + growth))
+            wal.commit()
+        assert read_committed(store, wal.head) == walk_from_head(
+            peek(store), wal.head
+        )
+
+    def test_reboot_reads_what_a_walk_reads(self):
+        store = DurableStore(B=4)
+        wal = WriteAheadLog(store)
+        publish(store, wal)
+        for batch in range(4):
+            for element in elements(batch + 1, offset=10 * batch):
+                wal.append(OP_INSERT, element)
+            wal.commit()
+        before = read_committed(store, wal.head)
+        rebooted = reopened(store)
+        assert read_committed(rebooted, wal.head) == before
+        assert before == walk_from_head(peek(rebooted), wal.head)
+
+    def test_compaction_keeps_the_live_cursor(self):
+        store = DurableStore(B=8)
+        wal = WriteAheadLog(store)
+        for element in elements(3):
+            wal.append(OP_INSERT, element)
+            wal.commit()
+        publish(store, wal)
+        read_committed(store, wal.head)
+        wal.truncate()  # retire a chain so compaction has blocks to drop
+        publish(store, wal)
+        for element in elements(3, offset=10):
+            wal.append(OP_INSERT, element)
+            wal.commit()
+        assert len(read_committed(store, wal.head)[0]) == 3
+        assert store.compact() > 0
+        wal.append(OP_INSERT, Element(20, 20.0))
+        wal.commit()
+        before = store.ctx.stats.reads
+        groups, _ = read_committed(store, wal.head, after_lsn=3)
+        assert store.ctx.stats.reads - before == 2  # new block + open tail
+        assert [r.lsn for g in groups for r in g] == [4, 5, 6, 7]
+        assert (groups, 0) == walk_from_head(peek(store), wal.head, 3)

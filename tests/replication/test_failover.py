@@ -129,13 +129,14 @@ class TestRetrySemantics:
             cluster.insert(elem(i))
         first, second = [r for r in cluster.replicas if not r.is_primary]
         cluster.primary.plan.schedule_crash(at_io=1)
-        # The successor dies during its very first post-promotion write.
-        expected_successor = min(first.name, second.name)
-        for replica in (first, second):
-            if replica.name == expected_successor:
-                replica.plan.schedule_crash(at_io=30)
         cluster.insert(elem(45))
+        # The successor dies during its very first post-promotion write:
+        # the next insert's WAL commit is its next transfer.
+        successor = cluster.primary
+        assert successor.name == min(first.name, second.name)
+        successor.plan.schedule_crash(at_io=1)
         cluster.insert(elem(46))
+        assert successor.plan.stats.torn_writes == 1
         cluster.insert(elem(47))
         assert cluster.stats.primary_crashes == 2
         assert cluster.stats.promotions == 2

@@ -46,6 +46,20 @@ class TestShipping:
         assert follower.durable.apply_shipped(groups) == 0  # all duplicates
         assert follower.durable_lsn == 5
 
+    def test_reads_per_update_stay_flat_as_the_log_grows(self, cluster):
+        # A ship reads only the primary's blocks no earlier ship read,
+        # so the 400th update since the checkpoint costs what the 2nd
+        # did; a walk from the chain's head cost O(updates) reads.
+        def durability_reads():
+            return sum(r.store.ctx.stats.reads for r in cluster.replicas)
+
+        cost = {}
+        for update in range(1, 401):
+            before = durability_reads()
+            cluster.insert(elem(39 + update))
+            cost[update] = durability_reads() - before
+        assert cost[2] == cost[400]
+
     def test_align_equalises_applied_lsns(self, cluster):
         for i in range(40, 55):
             cluster.insert(elem(i))

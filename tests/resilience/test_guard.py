@@ -431,6 +431,38 @@ class TestHealthSummaryConcurrency:
         assert health.queries == health.attempts == 2 * rounds
         assert all(snap["queries"] == snap["attempts"] for snap in snapshots)
 
+    def test_snapshot_and_record_wait_for_the_lock(self):
+        # Deterministic where the races above are not: on CPython,
+        # record()'s body has no point where threads switch, so those
+        # tests pass with the lock removed.  Holding the lock here
+        # must stall both methods until it is released.
+        import threading
+        from repro.resilience.guard import HealthReport, HealthSummary
+
+        health = HealthSummary()
+        returned = []
+
+        def snapshot():
+            health.snapshot()
+            returned.append("snapshot")
+
+        def record():
+            health.record(HealthReport(attempts=1))
+            returned.append("record")
+
+        threads = [threading.Thread(target=fn) for fn in (snapshot, record)]
+        with health._lock:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=0.05)
+            assert returned == []
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(returned) == ["record", "snapshot"]
+        assert health.queries == health.attempts == 1
+
     def test_summary_still_asdict_serializable(self):
         # The lock is an instance attribute, not a dataclass field —
         # asdict() (used by the determinism harness) must keep working.
